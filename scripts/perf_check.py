@@ -45,12 +45,20 @@ sustained req/s plus p99 latency are gated against the committed
 ``BENCH_frontend_baseline.json`` (skipped under ``--ratio-only``; the
 bounds are generous because CI runners vary).
 
+With ``--boot`` the boot benchmark (``benchmarks/bench_boot.py``) runs
+too: a warm boot of ``repro serve --listen`` (base model loaded from the
+content-addressed cache) must reach its port file at least 5x
+(``bench_boot.REQUIRED_BOOT_SPEEDUP``) faster than a cold one (base model
+pre-trained), and every boot must serve the identical transcript.  Both are
+in-run ratios or equalities, so they are enforced under ``--ratio-only`` too.
+
 Usage::
 
     PYTHONPATH=src python scripts/perf_check.py [--tolerance 0.2] [--update]
                                                 [--serving] [--chaos-overhead]
                                                 [--sharding] [--training]
-                                                [--frontend] [--ratio-only]
+                                                [--frontend] [--boot]
+                                                [--ratio-only]
 
 ``--update`` rewrites the baseline from the current run (use after an
 intentional perf change, on the machine that produces the committed numbers).
@@ -236,6 +244,12 @@ def main() -> int:
         help="also run the socket front-end benchmark: digest stability is "
              "enforced always; throughput/p99 are gated against "
              "BENCH_frontend_baseline.json unless --ratio-only",
+    )
+    parser.add_argument(
+        "--boot", action="store_true",
+        help="also run the boot benchmark and enforce warm (cached base model) "
+             "boot-to-ready >= 5x faster than cold, with identical transcript "
+             "digests (machine-independent, enforced always)",
     )
     args = parser.parse_args()
 
@@ -466,6 +480,21 @@ def main() -> int:
             )
             if p99 > ceiling:
                 failures.append("frontend_p99_latency")
+
+    if args.boot:
+        from bench_boot import REQUIRED_BOOT_SPEEDUP, run_benchmark as run_boot_benchmark
+
+        boot = run_boot_benchmark()
+        speedup = float(boot["warm_speedup"])
+        print(
+            f"boot-to-ready: cold {boot['boot_s']['cold']['median']} s, warm "
+            f"{boot['boot_s']['warm']['median']} s — {speedup:.2f}x (required >= "
+            f"{REQUIRED_BOOT_SPEEDUP:.1f}x); digests match: {boot['digests_match']}"
+        )
+        if speedup < REQUIRED_BOOT_SPEEDUP:
+            failures.append("boot_warm_speedup")
+        if not boot["digests_match"]:
+            failures.append("boot_digest_parity")
 
     if failures:
         print(f"FAIL: throughput regressed: {', '.join(failures)}")

@@ -38,6 +38,7 @@ import hashlib
 import json
 import os
 import pickle
+import secrets
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Union
 
@@ -51,13 +52,21 @@ def atomic_bytes_dump(path: Union[str, Path], data: bytes) -> Path:
     """Write ``data`` to ``path`` atomically (write temp file, then rename).
 
     A reader never observes a half-written file: either the old content is
-    still there or the new content is complete.
+    still there or the new content is complete.  Every call writes its own
+    uniquely named temp file in the target directory, so concurrent writers
+    of one path never share a temp file (the last rename wins), and a failed
+    write removes its temp file.
     """
     path = Path(path)
-    temporary = path.with_name(path.name + ".tmp")
-    with temporary.open("wb") as handle:
-        handle.write(data)
-    os.replace(temporary, path)
+    temporary = path.with_name(f"{path.name}.{secrets.token_hex(8)}.tmp")
+    handle = temporary.open("xb")
+    try:
+        with handle:
+            handle.write(data)
+        os.replace(temporary, path)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
     return path
 
 

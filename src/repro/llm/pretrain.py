@@ -17,8 +17,13 @@ from the experiment user's persona.
 
 from __future__ import annotations
 
+import functools
+import hashlib
+import json
+import os
 import time
 from dataclasses import dataclass
+from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -29,9 +34,16 @@ from repro.llm.model import OnDeviceLLM, OnDeviceLLMConfig
 from repro.nn.functional import cross_entropy
 from repro.nn.optim import Adam, clip_grad_norm
 from repro.utils.config import require_positive
+from repro.utils.logging import get_logger
 from repro.utils.rng import as_generator
 
 _IGNORE = -100
+
+_LOGGER = get_logger("llm.pretrain")
+
+#: Version of the base-model cache entry; part of every cache key, so bumping
+#: it orphans all existing entries.
+BASE_CACHE_FORMAT_VERSION = 1
 
 
 @dataclass
@@ -194,6 +206,95 @@ def pretrain(
     )
 
 
+def base_cache_dir() -> Path:
+    """Directory of the base-model cache: ``$XDG_CACHE_HOME/repro/base``.
+
+    ``XDG_CACHE_HOME`` defaults to ``~/.cache``.  Entries are content
+    addressed, so the directory may be shared by any number of checkouts
+    and concurrent processes, and deleting it only costs a re-pretrain.
+    """
+    root = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
+    return Path(root) / "repro" / "base"
+
+
+@functools.lru_cache(maxsize=1)
+def _source_digest() -> str:
+    """sha256 over every ``.py`` source of the ``repro`` package."""
+    package_root = Path(__file__).resolve().parent.parent
+    digest = hashlib.sha256()
+    for path in sorted(package_root.rglob("*.py")):
+        digest.update(path.relative_to(package_root).as_posix().encode("utf-8") + b"\0")
+        digest.update(path.read_bytes() + b"\0")
+    return digest.hexdigest()
+
+
+def base_cache_key(
+    llm_config: OnDeviceLLMConfig,
+    pretrain_config: PretrainConfig,
+    vocabulary_tokens: Sequence[str],
+    pairs: Sequence[Tuple[str, str]],
+) -> str:
+    """Content address of the base model these inputs pre-train to.
+
+    The key covers everything the trained weights depend on: the entry
+    format version, the numpy version, the ``repro`` sources (any code edit
+    invalidates every entry), both configs, the vocabulary and the
+    pre-training pairs — so the dataset, corpus seed and scale enter
+    through the pairs and the configs.
+    """
+    payload = json.dumps(
+        [
+            BASE_CACHE_FORMAT_VERSION,
+            np.__version__,
+            _source_digest(),
+            repr(llm_config),
+            repr(pretrain_config),
+            list(vocabulary_tokens),
+            [list(pair) for pair in pairs],
+        ]
+    )
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+def _load_cached_base(llm: OnDeviceLLM, path: Path, key: str) -> bool:
+    """Load the entry at ``path`` into ``llm``; ``False`` on a miss.
+
+    A missing entry is a plain miss.  An unreadable, corrupt or mismatched
+    one is logged and reported as a miss, so the caller re-pretrains and
+    overwrites it.
+    """
+    from repro.serve.adapter_codec import AdapterFormatError, open_adapter_record
+
+    try:
+        record = open_adapter_record(path)
+        if record.user_id != key:
+            raise AdapterFormatError(f"entry id {record.user_id[:12]!r} does not match the key")
+        # Check every shape up front: a load that failed halfway would leave
+        # cached tensors in the model the fallback pre-trains.
+        shapes = {name: value.shape for name, value in llm.model.named_parameters()}
+        if {name: value.shape for name, value in record.state.items()} != shapes:
+            raise AdapterFormatError("tensor names or shapes do not match the model")
+        llm.model.load_state_dict(record.state)
+    except (FileNotFoundError, NotADirectoryError):
+        return False
+    except (OSError, ValueError) as error:
+        _LOGGER.warning("ignoring base-model cache entry %s (%s); pretraining afresh", path, error)
+        return False
+    return True
+
+
+def _store_cached_base(llm: OnDeviceLLM, path: Path, key: str) -> None:
+    """Write ``llm``'s weights to ``path`` atomically; failures only log."""
+    from repro.core.checkpoint import atomic_bytes_dump
+    from repro.serve.adapter_codec import pack_adapter_record
+
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        atomic_bytes_dump(path, pack_adapter_record(key, llm.model.state_dict()))
+    except OSError as error:
+        _LOGGER.warning("could not write base-model cache entry %s (%s)", path, error)
+
+
 def build_pretrained_llm(
     corpus: DialogueCorpus,
     llm_config: Optional[OnDeviceLLMConfig] = None,
@@ -205,6 +306,11 @@ def build_pretrained_llm(
     responses (a deployed LLM's vocabulary certainly contains everyday words
     like "friend" or "advice"), but the pre-training pairs never use the
     experiment user's specific persona.
+
+    The trained weights are cached (see :func:`base_cache_key`): a hit loads
+    them and skips :func:`pretrain`, giving weights, vocabulary and RNG
+    streams bit-identical to a fresh pre-train.  A miss pre-trains and
+    writes the entry before returning.
     """
     llm_config = llm_config or OnDeviceLLMConfig()
     pretrain_config = pretrain_config or PretrainConfig()
@@ -216,5 +322,17 @@ def build_pretrained_llm(
         num_decoy_personas=pretrain_config.num_decoy_personas,
         rng=pretrain_config.seed,
     )
+    key = base_cache_key(llm_config, pretrain_config, llm.tokenizer.vocabulary.tokens(), pairs)
+    path = base_cache_dir() / f"{key}.a1"
+    if _load_cached_base(llm, path, key):
+        llm.model.eval()
+        _LOGGER.info("base-model cache hit %s", path)
+        return llm
+    _LOGGER.info("base-model cache miss %s; pretraining", path)
+    streams = llm.export_rng_streams()
     pretrain(llm, pairs, pretrain_config)
+    # Only the weights are cached: a run whose pre-training drew from the
+    # model's RNG streams (dropout) could not be restored bit-identically.
+    if llm.export_rng_streams() == streams:
+        _store_cached_base(llm, path, key)
     return llm

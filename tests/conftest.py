@@ -4,6 +4,10 @@ Expensive objects (a small synthetic corpus, a pre-trained tiny LLM) are
 session-scoped so the many tests that need "some model" or "some dialogues"
 do not each pay for construction.  Tests that mutate a model always work on a
 clone.
+
+The base-model cache (``$XDG_CACHE_HOME/repro/base``) points at one
+session-private directory, so the suite never reads or writes a developer's
+cache while its fixtures and subprocess servers still share warm entries.
 """
 
 from __future__ import annotations
@@ -20,6 +24,14 @@ from repro.llm.pretrain import PretrainConfig, build_pretrained_llm
 TINY_LLM_CONFIG = OnDeviceLLMConfig(
     dim=32, num_layers=1, num_heads=2, max_seq_len=64, max_vocab_size=2048, seed=0
 )
+
+
+@pytest.fixture(scope="session", autouse=True)
+def hermetic_base_cache(tmp_path_factory):
+    """Point the base-model cache at a directory private to this session."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("xdg-cache")))
+        yield
 
 
 @pytest.fixture(scope="session")

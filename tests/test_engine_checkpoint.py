@@ -6,9 +6,13 @@ must produce a learning curve *bit-identical* to the uninterrupted run —
 same seeds, same scores.
 """
 
+import sys
+import threading
+
+import numpy as np
 import pytest
 
-from repro.core.checkpoint import CheckpointError, CheckpointManager
+from repro.core.checkpoint import CheckpointError, CheckpointManager, atomic_bytes_dump
 from repro.core.engine import (
     STAGES,
     DialogueEvent,
@@ -24,6 +28,7 @@ from repro.data.stream import DialogueStream, StreamConfig
 from repro.eval.rouge_eval import EvaluationConfig, ResponseEvaluator
 from repro.llm.finetune import FineTuneConfig
 from repro.nn.lora import LoRAConfig
+from repro.serve.adapter_codec import pack_adapter_record, unpack_adapter_record
 
 INTERVAL = 8
 
@@ -338,3 +343,57 @@ class TestCheckpointRoundTrip:
         assert len(first.finetune_reports) == 1
         assert result.total_seen == INTERVAL + len(dialogues)
         assert len(result.finetune_reports) == 2
+
+
+class TestAtomicBytesDump:
+    def test_concurrent_writers_of_one_path_never_tear_it(self, tmp_path):
+        """Two writers replacing one file over and over (two cold boots
+        filling the same cache entry): every read decodes a whole record,
+        and no temp file is left behind."""
+        path = tmp_path / "entry.a1"
+        records = [
+            pack_adapter_record(f"writer-{index}", {"w": np.full(1 << 17, index, np.float32)})
+            for index in range(2)
+        ]
+        atomic_bytes_dump(path, records[0])
+        errors = []
+        done = threading.Event()
+
+        def write(record):
+            try:
+                for _ in range(100):
+                    atomic_bytes_dump(path, record)
+            except BaseException as error:  # surfaced by the main thread
+                errors.append(error)
+
+        def read():
+            while not done.is_set():
+                try:
+                    assert path.read_bytes() in records
+                except BaseException as error:
+                    errors.append(error)
+                    return
+
+        writers = [threading.Thread(target=write, args=(record,)) for record in records]
+        reader = threading.Thread(target=read)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            reader.start()
+            for thread in writers:
+                thread.start()
+            for thread in writers:
+                thread.join(timeout=60)
+            done.set()
+            reader.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in [reader, *writers])
+        assert errors == []
+        assert unpack_adapter_record(path.read_bytes()).user_id in {"writer-0", "writer-1"}
+        assert [entry.name for entry in tmp_path.iterdir()] == ["entry.a1"]
+
+    def test_failed_write_removes_its_temp_file(self, tmp_path):
+        with pytest.raises(TypeError):
+            atomic_bytes_dump(tmp_path / "entry", object())
+        assert list(tmp_path.iterdir()) == []
