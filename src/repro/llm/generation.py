@@ -208,22 +208,23 @@ def generate_tokens_batch(
     was_training = model.training
     model.eval()
     cache = model.new_kv_cache()
-    mask: Optional[np.ndarray] = None
+    # One mask buffer for the whole decode; each forward gets a view of its
+    # first ``cache.length + new`` columns, so steps never re-concatenate.
+    mask_buffer = np.zeros((batch, max_context), dtype=bool)
     lengths: Optional[np.ndarray] = None  # per-row count of real (unpadded) tokens
-    last_sampled: List[int] = [0] * batch
+    next_ids: List[int] = []  # the previous step's sampled column
+    vectorized_greedy = config.greedy and config.repetition_penalty == 1.0
     try:
         with inference_mode():
             for step in range(config.max_new_tokens):
                 if step > 0 and cache.length + 1 <= max_context:
                     # Incremental step: feed only the freshly sampled column.
-                    token_array = np.asarray(last_sampled, dtype=np.int64)[:, None]
+                    token_array = np.asarray(next_ids, dtype=np.int64)[:, None]
                     position_ids = lengths[:, None]
-                    mask = np.concatenate(
-                        [mask, np.ones((batch, 1), dtype=bool)], axis=1
-                    )
+                    mask_buffer[:, cache.length] = True
                     logits = model(
                         token_array,
-                        attention_mask=mask,
+                        attention_mask=mask_buffer[:, : cache.length + 1],
                         kv_cache=cache,
                         position_ids=position_ids,
                     )
@@ -235,7 +236,8 @@ def generate_tokens_batch(
                     windows = [context[-max_context:] for context in contexts]
                     width = max(len(window) for window in windows)
                     token_array = np.full((batch, width), pad_token_id, dtype=np.int64)
-                    mask = np.zeros((batch, width), dtype=bool)
+                    mask = mask_buffer[:, :width]
+                    mask[:] = False
                     position_ids = np.zeros((batch, width), dtype=np.int64)
                     lengths = np.zeros(batch, dtype=np.int64)
                     for row, window in enumerate(windows):
@@ -253,14 +255,22 @@ def generate_tokens_batch(
                 # Left padding guarantees every row's next-token logits sit in
                 # the last column.
                 final_logits = logits.data[:, -1, :]
-                for row in range(batch):
-                    next_id = sample_next_token(
-                        final_logits[row],
-                        config,
-                        rng=generator,
-                        previous_ids=generated[row],
-                    )
-                    last_sampled[row] = next_id
+                if vectorized_greedy:
+                    # Greedy without a penalty is a plain per-row argmax: one
+                    # call for the whole batch (no RNG is drawn either way).
+                    next_ids = np.argmax(final_logits, axis=-1).tolist()
+                else:
+                    # Row order fixes the RNG draw order.
+                    next_ids = [
+                        sample_next_token(
+                            final_logits[row],
+                            config,
+                            rng=generator,
+                            previous_ids=generated[row],
+                        )
+                        for row in range(batch)
+                    ]
+                for row, next_id in enumerate(next_ids):
                     contexts[row].append(next_id)
                     if not finished[row]:
                         generated[row].append(next_id)

@@ -311,3 +311,31 @@ class MultiHeadSelfAttention(Module):
         return self.o_proj.project_row(
             context.reshape(dim), workspace.get((tag, "attn"), (dim,))
         )
+
+    def raw_decode_rows(
+        self, x: np.ndarray, cache: LayerKVCache, hide: Optional[np.ndarray]
+    ) -> np.ndarray:
+        """Fused one-position attention step on ``(B, dim)`` rows.
+
+        Caller guarantees one new position per row and inert dropout.
+        ``hide`` is the ``(B, cached_len + 1)`` padding mask (True hides) with
+        each query's own column already visible, or ``None`` when nothing is
+        padded — for one query per row the causal mask hides nothing.  Same
+        kernels and score/softmax sequence as :meth:`raw_forward`, without the
+        ``(B, H, 1, T)`` mask or the singleton query axis.
+        """
+        batch = x.shape[0]
+        heads, head_dim = self.num_heads, self.head_dim
+        query = self.q_proj.raw_forward(x).reshape(batch, heads, head_dim)
+        key = self.k_proj.raw_forward(x).reshape(batch, heads, 1, head_dim)
+        value = self.v_proj.raw_forward(x).reshape(batch, heads, 1, head_dim)
+        keys, values = cache.extend(key, value)  # (B, H, total, head_dim)
+        scores = (keys @ query[..., None])[..., 0]  # (B, H, total)
+        scores *= 1.0 / np.sqrt(head_dim)
+        if hide is not None:
+            np.copyto(scores, -1e9, where=hide[:, None, :])
+        scores -= scores.max(axis=-1, keepdims=True)
+        np.exp(scores, out=scores)
+        scores /= scores.sum(axis=-1, keepdims=True)
+        context = scores[:, :, None, :] @ values  # (B, H, 1, head_dim)
+        return self.o_proj.raw_forward(context.reshape(batch, self.dim))

@@ -239,26 +239,43 @@ class TransformerLM(Module):
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Whole-model array-level forward for the no-grad path.
 
+        Dispatches by shape: an eval-mode one-token step against a KV cache
+        runs a fused decode step (:meth:`_decode_step` for one unpadded row,
+        :meth:`_decode_rows` otherwise); everything else — prefill, cache-free
+        and training-mode forwards — runs :meth:`_masked_forward`.
+        """
+        backend = _active()
+        batch, seq = token_ids.shape
+        if kv_cache is not None and seq == 1 and not self.training:
+            if batch == 1 and attention_mask is None:
+                logits_row, hidden_row = self._decode_step(
+                    int(token_ids[0, 0]), int(positions[0, 0]), kv_cache, backend
+                )
+                # Copy out of the workspace so returned arrays survive later steps.
+                return (
+                    logits_row.reshape(1, 1, -1).copy(),
+                    hidden_row.reshape(1, 1, -1).copy(),
+                )
+            logits, hidden = self._decode_rows(
+                token_ids[:, 0], positions[:, 0], attention_mask, kv_cache, backend
+            )
+            return logits[:, None, :], hidden[:, None, :]
+        return self._masked_forward(token_ids, attention_mask, kv_cache, positions, backend)
+
+    def _masked_forward(
+        self,
+        token_ids: np.ndarray,
+        attention_mask: Optional[np.ndarray],
+        kv_cache: Optional[KVCache],
+        positions: np.ndarray,
+        backend,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """General array-level forward with a causal + padding mask per layer.
+
         Runs the same backend kernels as the autograd path (bit-identical
         outputs) but builds no graph, allocates no Tensor wrappers per op, and
         adds residuals in place.  Returns ``(logits, hidden)`` arrays.
         """
-        backend = _active()
-        if (
-            kv_cache is not None
-            and attention_mask is None
-            and not self.training
-            and token_ids.shape == (1, 1)
-        ):
-            # Steady-state decode: one token, batch 1, every dropout inert.
-            logits_row, hidden_row = self._decode_step(
-                int(token_ids[0, 0]), int(positions[0, 0]), kv_cache, backend
-            )
-            # Copy out of the workspace so returned arrays survive later steps.
-            return (
-                logits_row.reshape(1, 1, -1).copy(),
-                hidden_row.reshape(1, 1, -1).copy(),
-            )
         hidden = self.token_embedding.rows(token_ids)
         # Positions were already range-checked against max_seq_len above, so
         # the embedding's own bounds validation can be skipped here.
@@ -365,6 +382,55 @@ class TransformerLM(Module):
             weight = self.token_embedding.weight.data
             logits = np.dot(weight, normed, out=workspace.get("logits", (weight.shape[0],)))
         return logits, normed
+
+    def _decode_rows(
+        self,
+        token_ids: np.ndarray,
+        positions: np.ndarray,
+        attention_mask: Optional[np.ndarray],
+        kv_cache: KVCache,
+        backend,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Fused one-token decode step for ``B`` rows (batched decode).
+
+        ``token_ids`` and ``positions`` are ``(B,)``; ``attention_mask`` is the
+        ``(B, past + 1)`` padding mask or ``None``.  Runs the same kernels as
+        the general masked forward on ``(B, dim)`` rows and builds the padding
+        mask once per step instead of a ``(B, H, 1, T)`` mask per layer.
+        Returns freshly allocated ``(B, vocab)`` logits and ``(B, dim)``
+        hidden rows.
+        """
+        hide = None
+        if attention_mask is not None:
+            hide = ~np.asarray(attention_mask, dtype=bool)
+            total = kv_cache.length + 1
+            if hide.shape[-1] != total:
+                raise ValueError(
+                    f"attention_mask covers {hide.shape[-1]} positions, "
+                    f"expected {total} (cached {total - 1} + new 1)"
+                )
+            # Each query always sees itself (the general path's diagonal rule).
+            hide[:, -1] = False
+        hidden = self.token_embedding.rows(token_ids)
+        hidden += self.position_embedding.weight.data[positions]
+        for block, layer_cache in zip(self.blocks, kv_cache.layers):
+            normed, _ = backend.layernorm(
+                hidden, block.ln_attn.weight.data, block.ln_attn.bias.data, block.ln_attn.eps
+            )
+            hidden += block.attention.raw_decode_rows(normed, layer_cache, hide)
+            normed, _ = backend.layernorm(
+                hidden, block.ln_ffn.weight.data, block.ln_ffn.bias.data, block.ln_ffn.eps
+            )
+            act, _ = backend.gelu(block.ffn.up.raw_forward(normed))
+            hidden += block.ffn.down.raw_forward(act)
+        hidden, _ = backend.layernorm(
+            hidden, self.ln_final.weight.data, self.ln_final.bias.data, self.ln_final.eps
+        )
+        if self.lm_head is not None:
+            logits = self.lm_head.raw_forward(hidden)
+        else:
+            logits = hidden @ self.token_embedding.weight.data.T
+        return logits, hidden
 
     # ------------------------------------------------------------------ #
     def hidden_states(

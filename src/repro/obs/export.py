@@ -3,26 +3,25 @@
 from __future__ import annotations
 
 import json
-import os
 import threading
 from pathlib import Path
 from typing import Callable, Dict, Union
 
+from repro.core.checkpoint import atomic_bytes_dump
 from repro.obs.registry import MetricsRegistry
 
 
 def write_snapshot(path: Union[str, Path], snapshot: Dict[str, object]) -> Path:
-    """Write one snapshot as JSON, atomically (tmp file + rename).
+    """Write one snapshot as JSON, atomically (unique temp file + rename).
 
     Readers polling the file — dashboards, the CI metrics checker — never
-    observe a torn document.
+    observe a torn document, and concurrent writers of one path never share
+    a temp file (see :func:`~repro.core.checkpoint.atomic_bytes_dump`).
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(snapshot, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    os.replace(tmp, path)
-    return path
+    text = json.dumps(snapshot, indent=2, sort_keys=True) + "\n"
+    return atomic_bytes_dump(path, text.encode("utf-8"))
 
 
 class PeriodicSnapshotter:

@@ -8,8 +8,12 @@ window shifts every absolute position and the cache must be invalidated),
 decoding must reproduce per-sequence decoding row by row.
 """
 
+import copy
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.llm.generation import (
     GenerationConfig,
@@ -18,7 +22,11 @@ from repro.llm.generation import (
     generate_tokens_batch,
 )
 from repro.nn import KVCache, Tensor, inference_mode, is_grad_enabled
+from repro.nn.attention import MultiHeadSelfAttention
+from repro.nn.backend import active as active_backend
 from repro.nn.functional import attention_scores_mask
+from repro.nn.lora import lora_layers
+from repro.nn.transformer import TransformerLM
 from repro.textmetrics.rouge import Rouge1Reference, rouge_1_f1
 
 
@@ -245,6 +253,133 @@ class TestBatchedDecoding:
         singles = [pretrained_llm.respond(q, generation=config) for q in questions]
         batched = pretrained_llm.respond_batch(questions, generation=config)
         assert batched == singles
+
+
+# Fixed property-test profile: the same examples on every run, bounded cost.
+DECODE_PROPERTY_SETTINGS = settings(
+    max_examples=25,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+class TestMultiRowDecodeStep:
+    """The fused multi-row decode step against the general masked forward."""
+
+    @pytest.fixture(scope="class")
+    def lora_llm(self, pretrained_llm):
+        llm = pretrained_llm.clone()
+        llm.add_lora()
+        return llm
+
+    @staticmethod
+    def _prompts(vocab_size, lengths, seed):
+        rng = np.random.default_rng(seed)
+        return [rng.integers(1, vocab_size, size=length).tolist() for length in lengths]
+
+    @given(
+        # Up to 12 past max_seq_len (64): long prompts prime on a slid window
+        # and every later step re-primes; prompts near 64 slide mid-decode.
+        lengths=st.lists(st.integers(1, 76), min_size=1, max_size=8),
+        max_new_tokens=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @DECODE_PROPERTY_SETTINGS
+    def test_steps_match_masked_forward_and_rows_match_single_decode(
+        self, lora_llm, lengths, max_new_tokens, seed
+    ):
+        model = lora_llm.model
+        rng = np.random.default_rng(seed)
+        for layer in lora_layers(model):
+            layer.lora_b.data[...] = rng.normal(0.0, 0.1, size=layer.lora_b.data.shape)
+        prompts = self._prompts(model.config.vocab_size, lengths, seed)
+        config = GenerationConfig(max_new_tokens=max_new_tokens, greedy=True)
+
+        fused_forward = model._forward_raw
+        one_token_steps = []
+
+        def checked_forward(token_ids, attention_mask, kv_cache, positions):
+            if token_ids.shape[1] != 1:
+                return fused_forward(token_ids, attention_mask, kv_cache, positions)
+            reference_cache = copy.deepcopy(kv_cache)
+            expected, _ = model._masked_forward(
+                token_ids, attention_mask, reference_cache, positions, active_backend()
+            )
+            logits, hidden = fused_forward(token_ids, attention_mask, kv_cache, positions)
+            np.testing.assert_allclose(logits, expected, atol=1e-5)
+            for fused, reference in zip(kv_cache.layers, reference_cache.layers):
+                np.testing.assert_allclose(fused.keys, reference.keys, atol=1e-5)
+                np.testing.assert_allclose(fused.values, reference.values, atol=1e-5)
+            one_token_steps.append(token_ids.shape[0])
+            return logits, hidden
+
+        model._forward_raw = checked_forward
+        try:
+            batched = generate_tokens_batch(model, prompts, config, pad_token_id=0)
+        finally:
+            del model._forward_raw
+        singles = [generate_tokens(model, prompt, config) for prompt in prompts]
+        assert batched == singles
+        assert all(rows == len(prompts) for rows in one_token_steps)
+
+    def test_padded_query_still_attends_to_itself(self, pretrained_llm):
+        """A step whose own column is marked padding keeps the diagonal rule."""
+        model = pretrained_llm.model
+        model.eval()
+        prompts = np.asarray(self._prompts(model.config.vocab_size, [6, 6, 6], seed=1))
+        mask = np.ones((3, 7), dtype=bool)
+        mask[0, :2] = False
+        mask[1, 6] = False  # the fed token itself is padding
+        mask[2, :] = False  # every position is padding
+        positions = np.full((3, 1), 6)
+        cache = model.new_kv_cache()
+        with inference_mode():
+            model(prompts, attention_mask=mask[:, :6], kv_cache=cache)
+            reference_cache = copy.deepcopy(cache)
+            step = model(prompts[:, -1:], attention_mask=mask, kv_cache=cache,
+                         position_ids=positions)
+            expected, _ = model._masked_forward(
+                prompts[:, -1:], mask, reference_cache, positions, active_backend()
+            )
+        np.testing.assert_allclose(step.data, expected, atol=1e-5)
+
+    @pytest.mark.parametrize(
+        "lengths, max_new_tokens, primes",
+        [
+            ([3], 6, 1),  # one padded row: respond_batch with one question
+            ([3, 5, 2, 7], 9, 1),  # steady state, never reaches max_seq_len
+            ([3, 5, 60, 2], 10, 6),  # 4 fused steps fill the window, then re-primes
+        ],
+    )
+    def test_steady_state_batched_decode_takes_the_fused_step(
+        self, pretrained_llm, monkeypatch, lengths, max_new_tokens, primes
+    ):
+        """A silent fallback to the general masked forward must fail here."""
+        model = pretrained_llm.model
+        mask_queries = []
+        fused_rows = []
+        combined_mask = MultiHeadSelfAttention._combined_mask
+        decode_rows = TransformerLM._decode_rows
+
+        def counting_mask(self, batch, seq, past, attention_mask):
+            mask_queries.append(seq)
+            return combined_mask(self, batch, seq, past, attention_mask)
+
+        def counting_rows(self, token_ids, *args):
+            fused_rows.append(len(token_ids))
+            return decode_rows(self, token_ids, *args)
+
+        monkeypatch.setattr(MultiHeadSelfAttention, "_combined_mask", counting_mask)
+        monkeypatch.setattr(TransformerLM, "_decode_rows", counting_rows)
+        prompts = self._prompts(model.config.vocab_size, lengths, seed=0)
+        config = GenerationConfig(max_new_tokens=max_new_tokens, greedy=True)
+        generate_tokens_batch(model, prompts, config, pad_token_id=0)
+
+        # The mask is built on prime/re-prime forwards only, once per layer.
+        assert 1 not in mask_queries
+        assert len(mask_queries) == primes * model.config.num_layers
+        assert fused_rows == [len(prompts)] * (max_new_tokens - primes)
 
 
 class TestBatchedEvaluator:

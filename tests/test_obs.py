@@ -11,6 +11,8 @@ passes everything fails this suite.
 
 import importlib.util
 import json
+import sys
+import threading
 import time
 from pathlib import Path
 
@@ -262,6 +264,49 @@ class TestExport:
         path = tmp_path / "metrics.json"
         write_snapshot(path, registry.snapshot())
         assert json.loads(path.read_text())["counters"]["hits_total"] == 1
+
+    def test_concurrent_writers_never_expose_a_torn_snapshot(self, tmp_path):
+        path = tmp_path / "metrics.json"
+        payloads = [
+            {"writer": writer, "rows": [writer] * 5000} for writer in range(2)
+        ]
+        write_snapshot(path, payloads[0])
+        errors = []
+        reads = []
+        writers_done = threading.Event()
+
+        def write(payload):
+            try:
+                for _ in range(40):
+                    write_snapshot(path, payload)
+            except BaseException as error:  # surfaced by the assert below
+                errors.append(error)
+
+        def read():
+            try:
+                while not writers_done.is_set():
+                    reads.append(json.loads(path.read_text(encoding="utf-8")))
+            except BaseException as error:
+                errors.append(error)
+
+        writers = [threading.Thread(target=write, args=(p,)) for p in payloads]
+        reader = threading.Thread(target=read)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the three threads finely
+        try:
+            reader.start()
+            for thread in writers:
+                thread.start()
+            for thread in writers:
+                thread.join(timeout=60)
+            writers_done.set()
+            reader.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in [reader, *writers])
+        assert errors == []
+        assert reads and all(snapshot in payloads for snapshot in reads)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["metrics.json"]
 
     def test_periodic_snapshotter_writes_on_start_and_stop(self, tmp_path):
         registry = MetricsRegistry()
