@@ -5,9 +5,10 @@ shared pre-trained base model:
 
 * ``sequential`` — ``max_batch_size=1``: every request decodes alone, the
   way a naive per-user loop would serve traffic;
-* ``batched`` — ``max_batch_size=8``: the scheduler groups each user's
-  queued requests into one padded ``respond_batch`` decode (the PR-1 fast
-  path) under a single adapter attach;
+* ``batched`` — ``max_batch_size=8``: the scheduler fills each padded
+  ``respond_batch`` decode with the queued chats of several users, each
+  run of same-user rows under its own adapter (segmented LoRA, no adapter
+  attach);
 * ``journaled`` — ``batched`` plus a durable request journal recording
   every enqueue and completion (the PR-6 robustness layer), measuring what
   crash-safety costs at steady state.

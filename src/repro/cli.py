@@ -125,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
             "Run the multi-tenant serving smoke: N users share one frozen base "
             "model, each with a persisted LoRA adapter; a deterministic "
             "synthetic load of chat + personalize requests is scheduled in "
-            "same-adapter batches.  Prints throughput, adapter-swap and "
+            "cross-user batches.  Prints throughput, adapter-swap and "
             "cache statistics plus the transcript digest; writes "
             "serve_result.json and the adapter files under --out."
         ),
@@ -153,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-batch",
         type=int,
         default=8,
-        help="max same-adapter chat requests decoded in one batch (default 8)",
+        help="max chat requests decoded in one batch (default 8)",
     )
     serve.add_argument(
         "--cache-capacity",

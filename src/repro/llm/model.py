@@ -13,6 +13,7 @@ exposes exactly the three capabilities the paper's framework consumes:
 from __future__ import annotations
 
 import pickle
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
@@ -22,6 +23,7 @@ import numpy as np
 from repro.llm.generation import GenerationConfig, generate_tokens, generate_tokens_batch
 from repro.nn.lora import (
     LoRAConfig,
+    adapter_segments,
     inject_lora,
     load_lora_state_dict,
     lora_layers,
@@ -182,6 +184,7 @@ class OnDeviceLLM:
         questions: Sequence[str],
         generation: Optional[GenerationConfig] = None,
         rng: Optional[np.random.Generator] = None,
+        adapters: Optional[Sequence[Dict[str, np.ndarray]]] = None,
     ) -> List[str]:
         """Answer a batch of user questions in one padded decoding pass.
 
@@ -189,18 +192,30 @@ class OnDeviceLLM:
         question: each row is prompted with ``<bos> question <sep>`` and
         decoded until ``stop_token_id`` or ``max_new_tokens``, but all rows
         share the model forwards, so the per-question cost is amortized.
+
+        ``adapters`` holds one adapter state (as produced by
+        :meth:`export_adapter_state`) per question: each row then decodes
+        under its own adapter, consecutive rows sharing one state object
+        forming one segment (see :func:`repro.nn.lora.adapter_segments`).
+        Without it every row uses the attached adapter.
         """
         if not questions:
             return []
+        if adapters is not None and len(adapters) != len(questions):
+            raise ValueError(f"got {len(adapters)} adapters for {len(questions)} questions")
         generation = generation or GenerationConfig(stop_token_id=self.tokenizer.vocabulary.eos_id)
         prompts = [self._prompt_ids_for_question(question) for question in questions]
-        new_ids = generate_tokens_batch(
-            self.model,
-            prompts,
-            generation,
-            rng=rng if rng is not None else self._generation_rng,
-            pad_token_id=self.tokenizer.vocabulary.pad_id,
+        segments = (
+            adapter_segments(self.model, adapters) if adapters is not None else nullcontext()
         )
+        with segments:
+            new_ids = generate_tokens_batch(
+                self.model,
+                prompts,
+                generation,
+                rng=rng if rng is not None else self._generation_rng,
+                pad_token_id=self.tokenizer.vocabulary.pad_id,
+            )
         return [self.tokenizer.decode(ids) for ids in new_ids]
 
     def generate_batch(

@@ -9,12 +9,19 @@ forward pass is
 
 where ``A`` (``r x in``) is Gaussian-initialised and ``B`` (``out x r``) is
 zero-initialised so the adapter starts as an exact no-op.
+
+Serving many users over one base model decodes rows of *different*
+adapters in one batch: inside :func:`adapter_segments` every LoRA layer
+applies one adapter per contiguous run of same-adapter rows (the
+S-LoRA/Punica segmented-matmul idiom), leaving the live ``lora_a`` /
+``lora_b`` tensors untouched.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -82,6 +89,9 @@ class LoRALinear(Module):
             name="lora_b",
         )
         self.lora_dropout = Dropout(config.dropout_rate, rng=rng)
+        #: ``(lo, hi, A, B)`` per row segment while inside
+        #: :func:`adapter_segments`; None means every row uses the live adapter.
+        self.segments: Optional[List[Tuple[int, int, np.ndarray, np.ndarray]]] = None
 
     @property
     def in_features(self) -> int:
@@ -100,24 +110,33 @@ class LoRALinear(Module):
         return base_out + delta
 
     def raw_forward(self, x: np.ndarray) -> np.ndarray:
-        """Array-level forward for the no-grad decode path (same kernels)."""
+        """Array-level forward for the no-grad decode path (same kernels).
+
+        With :attr:`segments` set, rows ``x[lo:hi]`` (the leading axis is
+        the batch) take the delta of their own segment's adapter.
+        """
         out = self.base.raw_forward(x)
         dropout_mask = self.lora_dropout.draw_mask(x.shape)
-        delta, _ = _active().lora_matmul(
-            x, self.lora_a.data, self.lora_b.data, self.config.scaling, dropout_mask
-        )
-        out += delta
+        segments = self.segments or ((0, None, self.lora_a.data, self.lora_b.data),)
+        for lo, hi, lora_a, lora_b in segments:
+            mask = None if dropout_mask is None else dropout_mask[lo:hi]
+            delta, _ = _active().lora_matmul(x[lo:hi], lora_a, lora_b, self.config.scaling, mask)
+            out[lo:hi] += delta
         return out
 
     def project_row(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Single-row decode projection: base GEMV plus the low-rank delta.
 
         Only called from the fused decode step, which requires every dropout
-        to be inert (eval mode), so no mask is drawn here.
+        to be inert (eval mode), so no mask is drawn here.  A single row has
+        a single segment, whose adapter replaces the live one.
         """
         self.base.project_row(x, out)
-        mid = self.lora_a.data @ x
-        delta = self.lora_b.data @ mid
+        lora_a, lora_b = self.lora_a.data, self.lora_b.data
+        if self.segments is not None:
+            _, _, lora_a, lora_b = self.segments[0]
+        mid = lora_a @ x
+        delta = lora_b @ mid
         delta *= self.config.scaling
         out += delta
         return out
@@ -229,9 +248,15 @@ def lora_state_nbytes(state: Dict[str, np.ndarray]) -> int:
     return int(sum(np.asarray(value).nbytes for value in state.values()))
 
 
-def load_lora_state_dict(model: Module, state: Dict[str, np.ndarray]) -> None:
-    """Load an adapter-only state dict produced by :func:`lora_state_dict`."""
-    layers = lora_layers(model)
+def _adapter_arrays(
+    layers: Sequence[LoRALinear], state: Dict[str, np.ndarray]
+) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """``(A, B)`` float32 arrays per layer of ``state``, validated up front.
+
+    Every key and shape is checked before the caller uses any array, so an
+    incompatible state (saved under a different LoRA rank or model size)
+    fails cleanly instead of half-loading.
+    """
     expected_keys = {
         key for index in range(len(layers)) for key in (f"adapter.{index}.lora_a", f"adapter.{index}.lora_b")
     }
@@ -239,11 +264,9 @@ def load_lora_state_dict(model: Module, state: Dict[str, np.ndarray]) -> None:
         raise ValueError(
             f"LoRA state dict keys {sorted(state)} do not match expected {sorted(expected_keys)}"
         )
-    # Validate every shape before assigning anything, so an incompatible
-    # state (saved under a different LoRA rank or model size) fails cleanly
-    # instead of half-loading.
-    converted = []
+    arrays = []
     for index, layer in enumerate(layers):
+        pair = []
         for name, target in (("lora_a", layer.lora_a), ("lora_b", layer.lora_b)):
             value = np.asarray(state[f"adapter.{index}.{name}"], dtype=np.float32)
             if value.shape != target.data.shape:
@@ -252,9 +275,48 @@ def load_lora_state_dict(model: Module, state: Dict[str, np.ndarray]) -> None:
                     f"model's adapter expects {target.data.shape} — the state "
                     "was saved under a different LoRA rank or model size"
                 )
-            converted.append((target, value))
-    for target, value in converted:
-        target.data = value.copy()
+            pair.append(value)
+        arrays.append(tuple(pair))
+    return arrays
+
+
+def load_lora_state_dict(model: Module, state: Dict[str, np.ndarray]) -> None:
+    """Load an adapter-only state dict produced by :func:`lora_state_dict`."""
+    layers = lora_layers(model)
+    for layer, (lora_a, lora_b) in zip(layers, _adapter_arrays(layers, state)):
+        layer.lora_a.data = lora_a.copy()
+        layer.lora_b.data = lora_b.copy()
+
+
+@contextmanager
+def adapter_segments(
+    model: Module, row_states: Sequence[Dict[str, np.ndarray]]
+) -> Iterator[None]:
+    """Run no-grad forwards with row ``i`` under adapter ``row_states[i]``.
+
+    Consecutive rows that share one state object form a segment; inside the
+    block each LoRA layer's array-level forwards (prefill, the fused
+    multi-row and single-row decode steps) apply one ``lora_matmul`` per
+    segment.  The states are only read — the live adapter tensors, which
+    training and every other caller use, are neither read nor written.
+    """
+    layers = lora_layers(model)
+    if not layers:
+        raise RuntimeError("no LoRA adapters injected; cannot segment adapters")
+    bounds: List[Tuple[int, int, Dict[str, np.ndarray]]] = []
+    for row, state in enumerate(row_states):
+        if bounds and bounds[-1][2] is state:
+            bounds[-1] = (bounds[-1][0], row + 1, state)
+        else:
+            bounds.append((row, row + 1, state))
+    arrays = {id(state): _adapter_arrays(layers, state) for _, _, state in bounds}
+    for index, layer in enumerate(layers):
+        layer.segments = [(lo, hi) + arrays[id(state)][index] for lo, hi, state in bounds]
+    try:
+        yield
+    finally:
+        for layer in layers:
+            layer.segments = None
 
 
 def merge_lora(model: Module) -> int:

@@ -8,7 +8,7 @@ subsystem splits into four parts —
   bounded write-back LRU cache (:class:`LoRAAdapterStore`);
 * :mod:`repro.serve.session` — adapter hot-swapping onto the shared model
   and per-user personalization sessions (:class:`SessionManager`);
-* :mod:`repro.serve.scheduler` — round-robin, same-adapter-batched request
+* :mod:`repro.serve.scheduler` — round-robin, cross-user-batched request
   scheduling (:class:`RequestScheduler`);
 * :mod:`repro.serve.loadgen` / :mod:`repro.serve.runner` — deterministic
   synthetic workloads and the end-to-end ``repro serve`` entry point;

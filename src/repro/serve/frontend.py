@@ -17,7 +17,7 @@ small newline-delimited JSON protocol —
 The event loop never touches the model.  Accepted requests cross a
 **bounded bridge** (:class:`SchedulerBridge`) into a single worker thread
 that owns the existing :class:`~repro.serve.scheduler.RequestScheduler` —
-same-adapter batching, round-robin fairness, the journal, retries and the
+cross-user batching, round-robin fairness, the journal, retries and the
 dead-letter ladder all apply unchanged to socket traffic.  Admission is
 limited by a global queue depth and a per-user in-flight cap; requests over
 either bound are refused with a ``busy`` frame instead of buffering

@@ -3,20 +3,25 @@
 The scheduler multiplexes many users' requests over one
 :class:`~repro.serve.session.SessionManager`.  Two request kinds exist:
 
-* :class:`ChatRequest` — answer one question with the user's adapter
-  attached; consecutive queued chat requests of the *same* user are grouped
-  into one padded :meth:`~repro.llm.model.OnDeviceLLM.respond_batch` decode
-  (the PR-1 fast path), amortizing every transformer forward across the
-  group and avoiding adapter swaps inside the group;
+* :class:`ChatRequest` — answer one question with the user's adapter;
+  queued chats of *several* users decode together in one padded
+  :meth:`~repro.llm.model.OnDeviceLLM.respond_batch` pass, each run of
+  same-user rows under its own LoRA adapter (segmented LoRA, see
+  :func:`repro.nn.lora.adapter_segments`), amortizing every transformer
+  forward across the whole batch;
 * :class:`PersonalizeRequest` — feed dialogue sets through the PR-2 pipeline
   stages and run one LoRA fine-tuning round on the user's adapter.
 
-Scheduling is strict round-robin over users in order of first submission:
-each turn serves at most one batch of one user, then moves to the next user
-with pending work.  That bounds how long any user waits behind another
-user's fine-tune job (fairness is asserted in
-``tests/test_serve_scheduler.py``) while still letting same-adapter batches
-form naturally from each user's queue.
+Scheduling is round-robin over users in order of first submission.  A turn
+starts at the round-robin user.  A personalize job at the head of that
+user's queue is the whole turn.  Otherwise the turn takes that user's
+leading chats, then the leading chats of the next users in ring order, until
+``max_batch_size`` rows are taken; the cursor then moves past the last user
+taken.  A user whose queue head is a personalize job is passed over, and the
+next turn starts at that user, so the cursor never skips pending work.  A
+user's chats keep their FIFO order, no chat overtakes its own user's
+personalize job, and every user with pending work is served within one pass
+of the ring (fairness is asserted in ``tests/test_serve_scheduler.py``).
 
 Everything is deterministic for a fixed seed: the transcript (request ids,
 questions, responses, personalization outcomes — no wall-clock fields) is
@@ -109,15 +114,26 @@ Request = Union[ChatRequest, PersonalizeRequest]
 
 @dataclass
 class ServeTurn:
-    """One scheduling turn: a same-adapter batch served for one user."""
+    """One scheduling turn: a chat batch over one or more users, or one job.
+
+    ``request_users[i]`` is the user of ``request_ids[i]``.
+    """
 
     index: int
-    user_id: str
     kind: str
     request_ids: List[int]
-    batch_size: int
+    request_users: List[str]
     swap_seconds: float
     seconds: float
+
+    @property
+    def user_ids(self) -> List[str]:
+        """Every user of the turn, in row order."""
+        return list(dict.fromkeys(self.request_users))
+
+    @property
+    def batch_size(self) -> int:
+        return len(self.request_ids)
 
 
 @dataclass
@@ -135,7 +151,8 @@ class ServeReport:
     swap: Dict[str, float] = field(default_factory=dict)
     store: Dict[str, float] = field(default_factory=dict)
     per_user: Dict[str, Dict[str, int]] = field(default_factory=dict)
-    turn_users: List[str] = field(default_factory=list)
+    #: The users of each turn (one list per turn, in row order).
+    turn_users: List[List[str]] = field(default_factory=list)
     dead_letter_requests: int = 0
     degraded_chat_requests: int = 0
     retries: int = 0
@@ -156,7 +173,7 @@ class ServeReport:
             "swap": dict(self.swap),
             "store": dict(self.store),
             "per_user": {user: dict(counts) for user, counts in self.per_user.items()},
-            "turn_users": list(self.turn_users),
+            "turn_users": [list(users) for users in self.turn_users],
             "dead_letter_requests": self.dead_letter_requests,
             "degraded_chat_requests": self.degraded_chat_requests,
             "retries": self.retries,
@@ -358,11 +375,42 @@ class RequestScheduler:
             self._ring_members.discard(user)
         return None
 
+    def _take_chats(self) -> List[ChatRequest]:
+        """Dequeue one chat turn's rows, starting at the round-robin user.
+
+        Takes each user's leading chats in ring order until the batch is
+        full.  A user whose queue head is a personalize job is passed over,
+        and the next turn starts at the first such user; otherwise it starts
+        past the last user taken.  Users with drained queues are passed over
+        too; :meth:`_next_user` unlinks them when the cursor meets them.
+        """
+        batch: List[ChatRequest] = []
+        ring = self._ring
+        last = self._cursor
+        passed_job: Optional[int] = None
+        for offset in range(len(ring)):
+            index = (self._cursor + offset) % len(ring)
+            queue = self._queues[ring[index]]
+            if not queue:
+                continue
+            if not isinstance(queue[0], ChatRequest):
+                if passed_job is None:
+                    passed_job = index
+                continue
+            while queue and isinstance(queue[0], ChatRequest) and len(batch) < self.max_batch_size:
+                batch.append(queue.popleft())
+            last = index
+            if len(batch) == self.max_batch_size:
+                break
+        self._cursor = passed_job if passed_job is not None else last + 1
+        return batch
+
     def run(self) -> ServeReport:
         """Serve every queued request; returns the serving report.
 
         The loop is synchronous and deterministic: users are visited in
-        round-robin order, one same-adapter batch per visit.  Requests
+        round-robin order, a chat turn taking rows from several users (see
+        the module docstring).  Requests
         submitted from within the loop (not currently done by any caller)
         would simply join their user's queue.
         """
@@ -391,28 +439,25 @@ class RequestScheduler:
             turn_start = time.perf_counter()
             self.faults.crash_point("turn.before_serve")
             if isinstance(queue[0], ChatRequest):
-                batch: List[ChatRequest] = []
-                while (
-                    queue
-                    and isinstance(queue[0], ChatRequest)
-                    and len(batch) < self.max_batch_size
-                ):
-                    batch.append(queue.popleft())
-                swap_seconds = self._serve_chat_turn(user, batch)
+                batch = self._take_chats()
+                swap_seconds = self._serve_chat_turn(batch)
                 kind = CHAT
-                request_ids = [request.request_id for request in batch]
+                requests: Sequence[Request] = batch
                 chat_count += len(batch)
             else:
                 request = queue.popleft()
+                # Move past the user just served so one heavy queue cannot
+                # monopolize consecutive turns.
+                self._cursor += 1
                 swap_seconds = self._serve_personalize_turn(user, request)
                 kind = PERSONALIZE
-                request_ids = [request.request_id]
+                requests = [request]
                 personalize_count += 1
             turn_seconds = time.perf_counter() - turn_start
-            self.metrics.counter("serve_requests_total", kind=kind).inc(len(request_ids))
+            self.metrics.counter("serve_requests_total", kind=kind).inc(len(requests))
             self.metrics.histogram("turn_seconds", kind=kind).observe(turn_seconds)
             self.metrics.histogram("batch_occupancy", buckets=COUNT_BUCKETS).observe(
-                len(request_ids)
+                len(requests)
             )
             if swap_seconds > 0.0:
                 self.metrics.histogram("swap_seconds").observe(swap_seconds)
@@ -422,17 +467,13 @@ class RequestScheduler:
             self.turns.append(
                 ServeTurn(
                     index=len(self.turns),
-                    user_id=user,
                     kind=kind,
-                    request_ids=request_ids,
-                    batch_size=len(request_ids),
+                    request_ids=[request.request_id for request in requests],
+                    request_users=[request.user_id for request in requests],
                     swap_seconds=swap_seconds,
                     seconds=turn_seconds,
                 )
             )
-            # Strict round-robin: move past the user just served so one heavy
-            # queue cannot monopolize consecutive turns.
-            self._cursor += 1
         elapsed = time.perf_counter() - start
         total = chat_count + personalize_count
         # The report covers *this* run only; `self.turns`/`self.transcript`
@@ -440,8 +481,8 @@ class RequestScheduler:
         run_turns = self.turns[turns_start:]
         per_user: Dict[str, Dict[str, int]] = {}
         for turn in run_turns:
-            counts = per_user.setdefault(turn.user_id, {CHAT: 0, PERSONALIZE: 0})
-            counts[turn.kind] += turn.batch_size
+            for user in turn.request_users:
+                per_user.setdefault(user, {CHAT: 0, PERSONALIZE: 0})[turn.kind] += 1
         # Per-run swap stats come from this run's turns (an attach that was a
         # no-op contributed 0.0 and is not a swap); per-run store stats are
         # the counter deltas against the snapshot taken at run() start.
@@ -481,7 +522,7 @@ class RequestScheduler:
             swap=swap_stats,
             store=store_stats,
             per_user=per_user,
-            turn_users=[turn.user_id for turn in run_turns],
+            turn_users=[turn.user_ids for turn in run_turns],
             dead_letter_requests=len(self.dead_letters) - dead_letters_start,
             degraded_chat_requests=self.degraded_chats - degraded_start,
             retries=self.retries - retries_start,
@@ -555,61 +596,65 @@ class RequestScheduler:
     # ------------------------------------------------------------------ #
     # per-kind serving
     # ------------------------------------------------------------------ #
-    def _serve_chat_turn(self, user: str, batch: Sequence[ChatRequest]) -> float:
-        """Serve one chat batch; returns the swap latency in seconds.
+    def _serve_chat_turn(self, batch: Sequence[ChatRequest]) -> float:
+        """Serve one chat batch; returns the summed adapter-fetch seconds.
 
-        Failure ladder: transient errors are retried; exhausted retries fall
-        back to blank-adapter degraded serving (an answer from the shared
-        base model beats no answer); only when even that fails — or a
-        deadline/permanent error strikes — does the batch dead-letter.
+        Each user of the batch runs the failure ladder on its own: the
+        deadline check, then the adapter acquisition with transient retries.
+        A user whose retries run out decodes in the same pass as a
+        blank-adapter segment (an answer from the shared base model beats no
+        answer) and is flagged degraded; a deadline or permanent error
+        dead-letters only that user's rows.
         """
-        questions = [request.question for request in batch]
-        deadline_error = self._check_deadline(len(batch))
-        if deadline_error is not None:
-            for request in batch:
-                self._dead_letter(request, CHAT, deadline_error)
-            return 0.0
-        degraded = False
+        rows: Dict[str, List[ChatRequest]] = {}
+        for request in batch:
+            rows.setdefault(request.user_id, []).append(request)
+        adapters: Dict[str, Optional[Dict[str, np.ndarray]]] = {}
         swap_seconds = 0.0
-
-        def respond() -> Tuple[List[str], float]:
-            swap = self.sessions.attach(user)
-            return (
-                self.sessions.respond(user, questions, generation=self.generation),
-                swap,
-            )
-
+        for user, requests in rows.items():
+            error: Optional[ServingError] = self._check_deadline(len(requests))
+            if error is None:
+                try:
+                    adapters[user], seconds = self._with_retries(
+                        lambda user=user: self.sessions.acquire(user)
+                    )
+                    swap_seconds += seconds
+                except TransientServingError:
+                    adapters[user] = None
+                except ServingError as serving_error:
+                    error = serving_error
+            if error is not None:
+                for request in requests:
+                    self._dead_letter(request, CHAT, error)
+        served = [request for request in batch if request.user_id in adapters]
+        if not served:
+            return swap_seconds
         try:
-            responses, swap_seconds = self._with_retries(respond)
-        except TransientServingError:
-            try:
-                responses = self.sessions.respond_degraded(
-                    user, questions, generation=self.generation
-                )
-                degraded = True
-                self.degraded_chats += len(batch)
-            except ServingError as fallback_error:
-                for request in batch:
-                    self._dead_letter(request, CHAT, fallback_error)
-                return 0.0
+            responses = self.sessions.respond(
+                [request.user_id for request in served],
+                [request.question for request in served],
+                generation=self.generation,
+                adapters=adapters,
+            )
         except ServingError as error:
-            for request in batch:
+            for request in served:
                 self._dead_letter(request, CHAT, error)
-            return 0.0
+            return swap_seconds
         self.faults.crash_point("chat.after_serve")
+        self.degraded_chats += sum(adapters[request.user_id] is None for request in served)
         # The tokenizer is word-level, so response word counts are the
         # generated-token tally behind the tokens/sec gauge.
         self._tokens_counter.inc(sum(len(response.split()) for response in responses))
         entries = []
-        for request, response in zip(batch, responses):
+        for request, response in zip(served, responses):
             entry = {
                 "request_id": request.request_id,
-                "user_id": user,
+                "user_id": request.user_id,
                 "kind": CHAT,
                 "question": request.question,
                 "response": response,
             }
-            if degraded:
+            if adapters[request.user_id] is None:
                 entry["degraded"] = True
             entries.append(entry)
         if self.journal is not None:

@@ -9,7 +9,12 @@ selector, fine-tuner).  :class:`SessionManager` owns the mapping:
   never re-built or re-loaded, so a swap costs O(adapter bytes), and the
   outgoing user's weights are written back to the
   :class:`~repro.serve.adapter_store.LoRAAdapterStore` first, so no update
-  is ever lost;
+  is ever lost.  Only fine-tuning attaches: the live adapter is the one
+  being trained;
+* **chat** never attaches: :meth:`SessionManager.acquire` fetches each
+  user's adapter and :meth:`SessionManager.respond` decodes rows of many
+  users in one batch, each run of same-user rows under its own adapter
+  (segmented LoRA, see :func:`repro.nn.lora.adapter_segments`);
 * **sessions** lazily wire a per-user :class:`PersonalizationFramework`
   around the shared model, so personalize requests run through the exact
   PR-2 pipeline stages (``ingest → select → annotate → synthesize →
@@ -28,9 +33,10 @@ from __future__ import annotations
 
 import time
 import zlib
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Set, Union
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -228,16 +234,42 @@ class SessionManager:
             return 0.0
         start = time.perf_counter()
         self._write_back_active()
-        try:
-            state = self.store.get(user_id)
-        except KeyError:
-            state = clone_lora_state(self._blank_state)
-            self.store.put(user_id, state)
-        self.llm.load_adapter_state(state)
+        self.llm.load_adapter_state(self.fetch_adapter(user_id))
         self._active_user = user_id
         elapsed = time.perf_counter() - start
         self.swaps.record(elapsed)
         return elapsed
+
+    def fetch_adapter(self, user_id: str) -> Dict[str, np.ndarray]:
+        """A copy of ``user_id``'s stored adapter (unknown users: blank, stored).
+
+        The one adapter read behind both :meth:`attach` and :meth:`acquire`,
+        so a failing store fails fine-tuning and chat alike.
+        """
+        try:
+            return self.store.get(user_id)
+        except KeyError:
+            state = clone_lora_state(self._blank_state)
+            self.store.put(user_id, state)
+            return state
+
+    def acquire(self, user_id: str) -> Tuple[Dict[str, np.ndarray], float]:
+        """``user_id``'s adapter for a chat decode, with the fetch seconds.
+
+        Unlike :meth:`attach` nothing is loaded into the live LoRA tensors:
+        the returned state decodes as one segment of a cross-user batch.
+        The first touch creates the user's session (restoring a checkpoint
+        when one exists).  The active user's adapter is copied from the live
+        tensors, which may hold a round the store has not accepted yet, and
+        costs no fetch (0.0 seconds, like a no-op attach).
+        """
+        validate_user_id(user_id)
+        self.session(user_id)
+        if user_id == self._active_user:
+            return self.llm.export_adapter_state(), 0.0
+        start = time.perf_counter()
+        state = self.fetch_adapter(user_id)
+        return state, time.perf_counter() - start
 
     def _write_back_active(self) -> None:
         """Save the active user's adapter to the store if it changed.
@@ -360,62 +392,49 @@ class SessionManager:
     # ------------------------------------------------------------------ #
     def respond(
         self,
-        user_id: str,
+        user_ids: Union[str, Sequence[str]],
         questions: Sequence[str],
         generation: Optional[GenerationConfig] = None,
+        adapters: Optional[Mapping[str, Optional[Dict[str, np.ndarray]]]] = None,
     ) -> List[str]:
-        """Answer a batch of questions with ``user_id``'s adapter attached.
+        """Answer a batch of questions, row ``i`` under ``user_ids[i]``'s adapter.
 
-        All questions decode in one padded ``respond_batch`` pass — this is
-        the same-adapter batching the scheduler exploits across a user's
-        queued requests.
+        ``user_ids`` holds one user id per question (a single id stands for
+        every row).  All rows decode in one padded ``respond_batch`` pass in
+        which each LoRA layer applies one adapter per run of same-user rows.
+        ``adapters`` maps users to states already :meth:`acquire`-d (the
+        scheduler acquires with retries); users it lacks are acquired here.
+        A user mapped to ``None`` — whose adapter the store could not
+        deliver — decodes as a blank-adapter segment: the shared base model
+        still answers, un-personalized, and the degradation is flagged.
         """
         if not questions:
             return []
-        self.attach(user_id)
-        session = self.session(user_id)
+        rows = [user_ids] * len(questions) if isinstance(user_ids, str) else list(user_ids)
+        if len(rows) != len(questions):
+            raise ValueError(f"got {len(rows)} user ids for {len(questions)} questions")
+        states = dict(adapters or {})
+        for user_id in dict.fromkeys(rows):
+            if user_id not in states:
+                states[user_id], _ = self.acquire(user_id)
+            elif states[user_id] is None:
+                states[user_id] = self._blank_state
+                if user_id not in self._degraded_users:
+                    self._degraded_users.add(user_id)
+                    self.health.degrade(
+                        f"serving {user_id!r} with the blank adapter (store unavailable)"
+                    )
         responses = self.llm.respond_batch(
-            list(questions), generation=generation or self.generation
+            list(questions),
+            generation=generation or self.generation,
+            adapters=[states[user_id] for user_id in rows],
         )
-        session.chat_requests += len(questions)
-        return responses
-
-    def respond_degraded(
-        self,
-        user_id: str,
-        questions: Sequence[str],
-        generation: Optional[GenerationConfig] = None,
-    ) -> List[str]:
-        """Answer with the *blank* adapter when the user's own is unreachable.
-
-        The graceful-degradation chat path: when the adapter store keeps
-        failing, the shared base model still answers (un-personalized) rather
-        than dead-lettering the user's chats.  Nothing is written to the
-        store, nothing is marked dirty, and the active-user slot is cleared
-        afterwards so a later healthy :meth:`attach` reloads real weights
-        instead of trusting the blank ones.
-        """
-        if not questions:
-            return []
-        validate_user_id(user_id)
-        try:
-            session = self.session(user_id)
-        except TransientServingError:
-            # The first touch tried a checkpoint restore through the failing
-            # store; the session object itself was already registered, so
-            # the second call returns it without retrying the restore.
-            session = self.session(user_id)
-        self._write_back_active()
-        self.llm.load_adapter_state(self._blank_state)
-        self._active_user = None
-        self._dirty.discard(user_id)
-        if user_id not in self._degraded_users:
-            self._degraded_users.add(user_id)
-            self.health.degrade(f"serving {user_id!r} with the blank adapter (store unavailable)")
-        responses = self.llm.respond_batch(
-            list(questions), generation=generation or self.generation
-        )
-        session.chat_requests += len(questions)
+        for user_id, count in Counter(rows).items():
+            # A degraded user's session may have been registered by a failed
+            # first touch (its checkpoint restore read the failing store);
+            # counting must not retry that restore.
+            session = self._sessions.get(user_id) or self.session(user_id)
+            session.chat_requests += count
         return responses
 
     @property

@@ -356,10 +356,10 @@ class TestAllDeadLetterOverSocket:
         the still-open connection) before the server closes it."""
         from repro.cli import main
 
-        def poisoned_attach(self, user_id):
+        def poisoned_fetch(self, user_id):
             raise PermanentServingError("injected: store unusable")
 
-        monkeypatch.setattr(SessionManager, "attach", poisoned_attach)
+        monkeypatch.setattr(SessionManager, "fetch_adapter", poisoned_fetch)
         monkeypatch.chdir(tmp_path)
         port_file = tmp_path / "port"
         exit_code = {}

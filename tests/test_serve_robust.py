@@ -228,14 +228,14 @@ class TestSchedulerDrain:
         is unlinked from the round-robin ring and the other users drain
         normally — the loop terminates instead of spinning."""
         manager = make_manager(fresh_llm, tmp_path)
-        real_attach = SessionManager.attach
+        real_fetch = SessionManager.fetch_adapter
 
-        def poisoned_attach(self, user_id):
+        def poisoned_fetch(self, user_id):
             if user_id == "poison":
                 raise PermanentServingError("injected: user is poisoned")
-            return real_attach(self, user_id)
+            return real_fetch(self, user_id)
 
-        monkeypatch.setattr(SessionManager, "attach", poisoned_attach)
+        monkeypatch.setattr(SessionManager, "fetch_adapter", poisoned_fetch)
         scheduler = RequestScheduler(
             manager, max_batch_size=4, generation=GenerationConfig(max_new_tokens=8)
         )
@@ -289,10 +289,10 @@ class TestAllDeadLetterExit:
         progress at all — every request dead-lettered."""
         from repro.cli import main
 
-        def poisoned_attach(self, user_id):
+        def poisoned_fetch(self, user_id):
             raise PermanentServingError("injected: store unusable")
 
-        monkeypatch.setattr(SessionManager, "attach", poisoned_attach)
+        monkeypatch.setattr(SessionManager, "fetch_adapter", poisoned_fetch)
         monkeypatch.chdir(tmp_path)
         code = main(
             [

@@ -97,19 +97,21 @@ class TestSchedulerFairness:
             scheduler.submit(ChatRequest(user_id="light", question=questions[9 + index]))
 
         report = scheduler.run()
-        # heavy: 4 + 4 + 1 chat turns (the personalize request splits the last
-        # batch) + 1 personalize turn; light: one 3-chat turn, served second.
-        assert report.turn_users == ["heavy", "light", "heavy", "heavy", "heavy"]
-        assert report.num_turns == 5
+        # heavy's first 4 chats fill turn 1; light's 3 chats start turn 2,
+        # whose last row is heavy's next chat; heavy's last 4 chats, then its
+        # personalize job (which no chat overtakes), fill turns 3 and 4.
+        assert report.turn_users == [["heavy"], ["light", "heavy"], ["heavy"], ["heavy"]]
+        assert report.num_turns == 4
         kinds = [turn.kind for turn in scheduler.turns]
-        assert kinds == ["chat", "chat", "chat", "chat", "personalize"]
+        assert kinds == ["chat", "chat", "chat", "personalize"]
+        assert [turn.batch_size for turn in scheduler.turns] == [4, 4, 4, 1]
         assert report.per_user["light"]["chat"] == 3
         assert report.per_user["heavy"]["chat"] == 9
         assert report.per_user["heavy"]["personalize"] == 1
         assert report.total_requests == 13
 
     def test_same_adapter_requests_batch_together(self, fresh_llm, tmp_path, med_corpus):
-        """Interleaved submissions still coalesce into per-user batches."""
+        """Interleaved submissions coalesce into per-user segments of one batch."""
         manager = make_manager(fresh_llm, tmp_path)
         scheduler = RequestScheduler(manager, max_batch_size=8)
         questions = [dialogue.question for dialogue in med_corpus.dialogues()[:6]]
@@ -117,10 +119,17 @@ class TestSchedulerFairness:
             scheduler.submit(ChatRequest(user_id="aa", question=questions[2 * index]))
             scheduler.submit(ChatRequest(user_id="bb", question=questions[2 * index + 1]))
         report = scheduler.run()
-        assert report.turn_users == ["aa", "bb"]
-        assert [turn.batch_size for turn in scheduler.turns] == [3, 3]
-        # One adapter swap per user, none inside a batch.
-        assert report.swap["count"] == 2
+        assert report.turn_users == [["aa", "bb"]]
+        # Each user's rows are contiguous (one adapter segment each), in FIFO
+        # order: aa's requests 0, 2, 4 then bb's 1, 3, 5.
+        assert scheduler.turns[0].request_ids == [0, 2, 4, 1, 3, 5]
+        assert report.per_user == {
+            "aa": {"chat": 3, "personalize": 0},
+            "bb": {"chat": 3, "personalize": 0},
+        }
+        # Both adapters are fetched in the one turn; none is attached.
+        assert report.swap["count"] == 1
+        assert manager.active_user is None
 
     def test_batched_equals_sequential_under_greedy(
         self, fresh_llm, tmp_path, med_corpus
@@ -165,8 +174,9 @@ class TestSchedulerFairness:
         assert second.total_requests == 2
         assert scheduler.pending_count == 0
         # Each report covers its own run; the transcript log is cumulative.
-        assert second.num_turns == 2
-        assert second.turn_users == ["alice", "bob"]
+        assert second.num_turns == 1
+        assert second.turn_users == [["alice", "bob"]]
+        assert second.num_users == 2
         assert len(scheduler.transcript) == 3
 
 
