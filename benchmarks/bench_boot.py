@@ -30,7 +30,7 @@ import time
 from pathlib import Path
 from typing import Dict, List, Tuple
 
-from repro.serve.client import drive_load, fetch_stats, request_shutdown
+from repro.serve.client import drive_load, fetch_metrics, request_shutdown
 from repro.serve.loadgen import LoadConfig
 
 RESULT_PATH = Path(__file__).resolve().parent / "BENCH_boot.json"
@@ -69,7 +69,7 @@ def boot_once(run_dir: Path, cache_home: Path) -> Tuple[float, str]:
         boot_seconds = time.perf_counter() - started
         port = int(port_file.read_text())
         drive_load("127.0.0.1", port, LOAD)
-        digest = fetch_stats("127.0.0.1", port)["transcript_digest"]
+        digest = fetch_metrics("127.0.0.1", port)["transcript_digest"]
         request_shutdown("127.0.0.1", port)
         if process.wait(timeout=BOOT_TIMEOUT) != 0:
             raise RuntimeError(f"server exited {process.returncode}")

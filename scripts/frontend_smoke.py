@@ -9,7 +9,7 @@ op, and checks the whole contract end to end:
 
 * the server exits 0 and writes ``serve_result.json``;
 * every driven request completes (no dead letters at this scale);
-* the digest the *clients* observed (``stats`` frame) equals the digest the
+* the digest the *clients* observed (``metrics`` frame) equals the digest the
   *server* reported (``serve_result.json``) — one truth, two vantage points;
 * across ``--runs`` independent server boots the digest is byte-identical —
   the determinism guarantee of the serving layer, now enforced over real
@@ -38,7 +38,7 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.serve.client import drive_load, fetch_stats, request_shutdown  # noqa: E402
+from repro.serve.client import drive_load, fetch_metrics, request_shutdown  # noqa: E402
 from repro.serve.frontend import wait_for_port_file  # noqa: E402
 from repro.serve.loadgen import LoadConfig  # noqa: E402
 
@@ -99,7 +99,7 @@ def run_once(index: int, args: argparse.Namespace, out_dir: Path) -> dict:
         started = time.perf_counter()
         outcomes = drive_load("127.0.0.1", port, load)
         drive_seconds = time.perf_counter() - started
-        stats = fetch_stats("127.0.0.1", port)
+        metrics = fetch_metrics("127.0.0.1", port)
         request_shutdown("127.0.0.1", port)
         exit_code = process.wait(timeout=args.timeout)
     finally:
@@ -115,7 +115,7 @@ def run_once(index: int, args: argparse.Namespace, out_dir: Path) -> dict:
         "dead_letters": sum(1 for outcome in outcomes if outcome.dead_letter),
         "busy_retries": sum(outcome.busy_retries for outcome in outcomes),
         "drive_seconds": round(drive_seconds, 3),
-        "client_digest": stats.get("transcript_digest"),
+        "client_digest": metrics.get("transcript_digest"),
         "server_digest": server_result.get("transcript_digest"),
         "server_total_requests": server_result.get("total_requests"),
     }

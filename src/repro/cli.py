@@ -532,7 +532,9 @@ def _command_replay(args: argparse.Namespace) -> int:
 
     from repro.experiments.presets import get_scale
     from repro.serve.client import replay_trace_against
+    from repro.serve.config import ServeConfig
     from repro.serve.frontend import FrontendThread, ServeFrontend
+    from repro.serve.loadgen import LoadConfig
     from repro.serve.trace import TraceError, load_trace
 
     try:
@@ -562,16 +564,13 @@ def _command_replay(args: argparse.Namespace) -> int:
     if pretrain_epochs is None:
         recorded = meta.get("pretrain_epochs")
         pretrain_epochs = None if recorded is None else int(recorded)
-    frontend = ServeFrontend(
-        host="127.0.0.1",
-        port=0,
+    config = ServeConfig(
+        load=LoadConfig(dataset=meta.get("dataset", "meddialog"), seed=seed),
         scale=scale,
-        seed=seed,
-        dataset=meta.get("dataset", "meddialog"),
         pretrain_epochs=pretrain_epochs,
         max_batch_size=int(meta.get("max_batch_size", 8)),
     )
-    server = FrontendThread(frontend)
+    server = FrontendThread(ServeFrontend(config))
     host, port = server.start()
     print(f"replaying {len(trace.requests)} request(s) against {host}:{port}")
     try:

@@ -44,11 +44,9 @@ from repro.serve.frontend import (
     OP_BYE,
     OP_CHAT,
     OP_CONNECT,
-    OP_HEALTH,
     OP_METRICS,
     OP_PERSONALIZE,
     OP_SHUTDOWN,
-    OP_STATS,
     decode_frame,
     encode_frame,
     wait_for_port_file,
@@ -214,16 +212,6 @@ class ServeClient:
         frame, _ = await self._exchange({"op": OP_METRICS})
         return frame
 
-    async def stats(self) -> dict:
-        """Deprecated alias of :meth:`metrics` (same payload, frame ``stats``)."""
-        frame, _ = await self._exchange({"op": OP_STATS})
-        return frame
-
-    async def health(self) -> dict:
-        """Deprecated alias of :meth:`metrics` (same payload, frame ``health``)."""
-        frame, _ = await self._exchange({"op": OP_HEALTH})
-        return frame
-
     async def bye(self) -> None:
         await self.send_op({"op": OP_BYE})
         await self.read_frame()
@@ -335,12 +323,12 @@ def replay_trace_against(host: str, port: int, trace: Trace) -> List[RequestOutc
     return asyncio.run(_drive_user_ops(host, port, trace_to_user_ops(trace)))
 
 
-def fetch_stats(host: str, port: int) -> dict:
-    """One-shot ``stats`` op (fresh connection)."""
+def fetch_metrics(host: str, port: int) -> dict:
+    """One-shot ``metrics`` op (fresh connection)."""
 
     async def _fetch() -> dict:
         async with ServeClient(host, port) as client:
-            return await client.stats()
+            return await client.metrics()
 
     return asyncio.run(_fetch())
 
@@ -403,14 +391,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         personalize_every=args.personalize_every,
     )
     outcomes = drive_load(host, port, load)
-    stats = fetch_stats(host, port)
+    metrics = fetch_metrics(host, port)
     if args.shutdown:
         request_shutdown(host, port)
     summary = {
         "driven_requests": len(outcomes),
         "dead_letters": sum(1 for outcome in outcomes if outcome.dead_letter),
         "busy_retries": sum(outcome.busy_retries for outcome in outcomes),
-        "transcript_digest": stats.get("transcript_digest"),
+        "transcript_digest": metrics.get("transcript_digest"),
     }
     if args.json:
         print(json.dumps(summary, indent=2, sort_keys=True))

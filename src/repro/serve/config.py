@@ -9,10 +9,6 @@ of truth: the CLI parses argv into it once
 (:meth:`ServeConfig.from_args`) and the entry points accept the config
 object directly.
 
-The old keyword signatures still work for one release: calling an entry
-point in the legacy style emits a :class:`DeprecationWarning` and builds
-the equivalent config internally (see :func:`warn_legacy_call`).
-
 ``ServeConfig`` is frozen — derived values (resolved output directories,
 for example) are filled in with :func:`dataclasses.replace`.
 """
@@ -20,7 +16,6 @@ for example) are filled in with :func:`dataclasses.replace`.
 from __future__ import annotations
 
 import argparse
-import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Union
@@ -32,17 +27,6 @@ from repro.serve.loadgen import LoadConfig
 
 #: Written next to ``serve_result.json`` at drain (and by ``--metrics-out``).
 METRICS_FILE = "metrics.json"
-
-
-def warn_legacy_call(api: str) -> None:
-    """Emit the one-release deprecation warning for keyword-style calls."""
-    warnings.warn(
-        f"calling {api} with individual keyword arguments is deprecated; "
-        "build a repro.serve.ServeConfig and pass it instead "
-        "(the keyword form will be removed next release)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 @dataclass(frozen=True)

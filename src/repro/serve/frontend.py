@@ -10,8 +10,7 @@ small newline-delimited JSON protocol —
 * ``personalize`` — feed annotated dialogue sets through the pipeline
   stages and fine-tune the user's adapter;
 * ``metrics`` — the versioned observability frame: serving counters,
-  component health and the full metrics-registry snapshot in one payload
-  (``stats`` and ``health`` are deprecated aliases carrying the same body);
+  component health and the full metrics-registry snapshot in one payload;
 * ``bye`` / ``shutdown`` — close one connection / drain the whole server.
 
 The event loop never touches the model.  Accepted requests cross a
@@ -27,10 +26,12 @@ grow the bridge past its bound.
 ``SIGINT``/``SIGTERM`` (or a ``shutdown`` op) drain gracefully: admission
 closes, the worker finishes every accepted batch, every produced frame —
 including dead-letter frames — is flushed to its client, and only then do
-the sockets close.  With a ``state_dir`` the run is durable exactly like
-``repro serve``: requests are journaled on submission and a killed server
-resumes via the PR-6 replay path (finished work skipped, committed
-fine-tunes rolled forward, the rest re-served before the socket opens).
+the sockets close.  The serving environment is the same
+:class:`~repro.serve.runner.ServingNode` ``repro serve`` builds, so with a
+``state_dir`` the run is durable exactly like it: requests are journaled on
+submission and a killed server resumes through the node's replay path
+(finished work skipped, committed fine-tunes rolled forward, the rest
+re-served before the socket opens).
 
 Determinism across runs is fingerprinted by a **normalized transcript
 digest**: entries are keyed by ``(user_id, per-user sequence number)``
@@ -52,7 +53,6 @@ import json
 import queue
 import signal
 import socket
-import tempfile
 import threading
 import time
 from dataclasses import dataclass, field, replace
@@ -61,28 +61,15 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.data.dialogue import DialogueSet
 from repro.data.lexicons import LexiconCollection, builtin_lexicons
-from repro.experiments.presets import ExperimentScale, get_scale
 from repro.llm.model import OnDeviceLLM
 from repro.obs import MetricsRegistry, PeriodicSnapshotter, merge_snapshots, observe_health
-from repro.serve.adapter_store import AdapterStoreError, LoRAAdapterStore, validate_user_id
-from repro.serve.config import ServeConfig, warn_legacy_call
-from repro.serve.errors import RetryPolicy, ServingError, TransientServingError
-from repro.serve.faults import FaultInjector, FaultPlan
+from repro.serve.adapter_store import AdapterStoreError, validate_user_id
+from repro.serve.config import ServeConfig
+from repro.serve.errors import ServingError
 from repro.serve.health import ComponentHealth, HealthRegistry
-from repro.serve.journal import (
-    JOURNAL_FILE,
-    JournalError,
-    RequestJournal,
-    journal_digest,
-    replay,
-)
-from repro.serve.loadgen import LoadConfig, build_serving_llm
-from repro.serve.runner import (
-    make_session_manager,
-    restore_shared_streams,
-    roll_forward,
-    serving_generation_config,
-)
+from repro.serve.journal import journal_digest
+from repro.serve.loadgen import LoadConfig
+from repro.serve.runner import ServingNode, serving_llm
 from repro.serve.scheduler import (
     CHAT,
     PERSONALIZE,
@@ -92,11 +79,10 @@ from repro.serve.scheduler import (
     RequestScheduler,
 )
 
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 SERVER_NAME = "repro-serve"
 
-#: Schema version of the unified ``metrics`` frame body (the payload the
-#: ``metrics`` op and its deprecated ``stats``/``health`` aliases share).
+#: Schema version of the ``metrics`` frame body.
 METRICS_FRAME_SCHEMA = 1
 
 #: One frame (a newline-terminated JSON object) may be at most this long.
@@ -105,14 +91,11 @@ MAX_FRAME_BYTES = 1 << 20
 DEFAULT_MAX_QUEUE_DEPTH = 64
 DEFAULT_MAX_INFLIGHT_PER_USER = 4
 
-# Client -> server operations.  ``stats`` and ``health`` are deprecated
-# aliases of ``metrics`` (same payload, frame kind echoes the op).
+# Client -> server operations.
 OP_CONNECT = "connect"
 OP_CHAT = "chat"
 OP_PERSONALIZE = "personalize"
 OP_METRICS = "metrics"
-OP_STATS = "stats"
-OP_HEALTH = "health"
 OP_BYE = "bye"
 OP_SHUTDOWN = "shutdown"
 
@@ -124,8 +107,6 @@ FRAME_DEAD_LETTER = "dead_letter"
 FRAME_BUSY = "busy"
 FRAME_ERROR = "error"
 FRAME_METRICS = "metrics"
-FRAME_STATS = "stats"
-FRAME_HEALTH = "health"
 FRAME_BYE = "bye"
 
 # Typed error codes carried by ``error`` frames.
@@ -209,50 +190,32 @@ def frontend_transcript_digest(normalized_entries: List[dict]) -> str:
 _STOP = object()
 
 
-class SchedulerBridge:
-    """Bounded hand-off between the socket layer and the scheduler thread.
-
-    The event loop *admits* requests (:meth:`try_admit` + :meth:`enqueue`);
-    one worker thread owns the scheduler exclusively, draining the hand-off
-    queue in arrival order, submitting (which journals, when durable) and
-    serving.  Results flow back through the scheduler's ``entry_listener``
-    the moment each transcript entry is produced, so dead-letter frames
-    reach clients as promptly as successes.
+class _Admission:
+    """The admission bounds and in-flight bookkeeping both bridges share.
 
     Backpressure is enforced at admission: ``max_queue_depth`` bounds the
     total accepted-but-unfinished requests and ``max_inflight_per_user``
     bounds any single user, so neither a flood nor one greedy client can
-    grow the bridge beyond its bounds — the overflow is refused with a
-    ``busy`` frame, never buffered.
+    grow a bridge beyond its bounds — the overflow is refused with a
+    ``busy`` frame, never buffered.  A slot is held from :meth:`try_admit`
+    until the request's result is delivered.
     """
 
-    def __init__(
-        self,
-        scheduler: RequestScheduler,
-        max_queue_depth: int = DEFAULT_MAX_QUEUE_DEPTH,
-        max_inflight_per_user: int = DEFAULT_MAX_INFLIGHT_PER_USER,
-    ) -> None:
+    def __init__(self, max_queue_depth: int, max_inflight_per_user: int) -> None:
         if max_queue_depth < 1:
             raise ValueError(f"max_queue_depth must be >= 1, got {max_queue_depth}")
         if max_inflight_per_user < 1:
-            raise ValueError(
-                f"max_inflight_per_user must be >= 1, got {max_inflight_per_user}"
-            )
-        self.scheduler = scheduler
-        scheduler.entry_listener = self._on_entry
+            raise ValueError(f"max_inflight_per_user must be >= 1, got {max_inflight_per_user}")
         self.max_queue_depth = max_queue_depth
         self.max_inflight_per_user = max_inflight_per_user
         self.health = ComponentHealth("frontend")
-        self._items: "queue.Queue" = queue.Queue()
+        self.busy_rejections = 0
+        self.max_depth_seen = 0
         self._lock = threading.Lock()
         self._inflight: Dict[str, int] = {}
         self._inflight_total = 0
-        self._user_seq: Dict[str, int] = {}
-        self._request_keys: Dict[int, Tuple[str, int]] = {}
-        self._deliveries: Dict[int, Callable[[dict], None]] = {}
-        self.busy_rejections = 0
-        self.max_depth_seen = 0
-        self._thread: Optional[threading.Thread] = None
+        #: request id -> (user, deliver) of every admitted, undelivered request.
+        self._deliveries: Dict[int, Tuple[str, Callable[[dict], None]]] = {}
 
     # -- admission (event-loop thread) --------------------------------- #
     def try_admit(self, user_id: str) -> Optional[str]:
@@ -269,39 +232,89 @@ class SchedulerBridge:
             self.max_depth_seen = max(self.max_depth_seen, self._inflight_total)
             return None
 
-    def enqueue(self, request: Request, deliver: Callable[[dict], None]) -> None:
-        """Hand one *admitted* request to the worker thread."""
-        self._items.put((request, deliver))
-
     @property
     def inflight_total(self) -> int:
         with self._lock:
             return self._inflight_total
 
-    # -- the resume path (before the socket opens) --------------------- #
-    def submit_local(self, request: Request, journal_record: bool = True) -> Request:
-        """Submit a request that has no client connection (journal replay).
+    # -- results ------------------------------------------------------- #
+    def _track(self, request_id: int, user_id: str, deliver: Callable[[dict], None]) -> None:
+        with self._lock:
+            self._deliveries[request_id] = (user_id, deliver)
 
-        Runs in whatever thread owns the scheduler at the time (the worker
-        is not started yet); the entry keeps its normalized key so resumed
-        work lands in the same digest as live work.
+    def _deliver(self, request_id: int, entry: dict) -> None:
+        """Release the request's slot and hand its entry to the client."""
+        with self._lock:
+            tracked = self._deliveries.pop(request_id, None)
+            if tracked is None:
+                return
+            user, deliver = tracked
+            self._inflight_total -= 1
+            if user in self._inflight:
+                self._inflight[user] -= 1
+        deliver(entry)
+
+    def _dead_letter_stranded(self, error: str, reason: str) -> None:
+        """Unblock every waiting client with a synthetic dead letter.
+
+        Not journaled: the journal only records real outcomes.
         """
-        submitted = self.scheduler.submit(request, journal_record=journal_record)
-        self._assign_key(submitted)
-        return submitted
+        with self._lock:
+            stranded = [(request_id, user) for request_id, (user, _) in self._deliveries.items()]
+        for request_id, user in stranded:
+            self._deliver(
+                request_id,
+                {
+                    "request_id": request_id,
+                    "user_id": user,
+                    "kind": "error",
+                    "dead_letter": True,
+                    "error": error,
+                    "reason": reason,
+                },
+            )
 
-    def _assign_key(self, submitted: Request) -> None:
-        seq = self._user_seq.get(submitted.user_id, 0)
-        self._user_seq[submitted.user_id] = seq + 1
-        self._request_keys[submitted.request_id] = (submitted.user_id, seq)
+
+class SchedulerBridge(_Admission):
+    """Bounded hand-off between the socket layer and the scheduler thread.
+
+    The event loop *admits* requests (:meth:`try_admit` + :meth:`enqueue`);
+    one worker thread owns the scheduler exclusively, draining the hand-off
+    queue in arrival order, submitting (which journals, when durable) and
+    serving.  Results flow back through the scheduler's ``entry_listener``
+    the moment each transcript entry is produced, so dead-letter frames
+    reach clients as promptly as successes.
+    """
+
+    def __init__(
+        self,
+        scheduler: RequestScheduler,
+        max_queue_depth: int = DEFAULT_MAX_QUEUE_DEPTH,
+        max_inflight_per_user: int = DEFAULT_MAX_INFLIGHT_PER_USER,
+    ) -> None:
+        super().__init__(max_queue_depth, max_inflight_per_user)
+        self.scheduler = scheduler
+        scheduler.entry_listener = self._on_entry
+        self._items: "queue.Queue" = queue.Queue()
+        self._user_seq: Dict[str, int] = {}
+        self._request_keys: Dict[int, Tuple[str, int]] = {}
+        self._thread: Optional[threading.Thread] = None
+
+    def enqueue(self, request: Request, deliver: Callable[[dict], None]) -> None:
+        """Hand one *admitted* request to the worker thread."""
+        self._items.put((request, deliver))
+
+    def assign_key(self, request: Request) -> None:
+        """Give a submitted request the next ``(user, seq)`` key of its user."""
+        seq = self._user_seq.get(request.user_id, 0)
+        self._user_seq[request.user_id] = seq + 1
+        self._request_keys[request.request_id] = (request.user_id, seq)
 
     # -- the worker thread --------------------------------------------- #
     def start(self) -> None:
         if self._thread is not None:
             return
-        self._thread = threading.Thread(
-            target=self._run, name="repro-serve-bridge", daemon=True
-        )
+        self._thread = threading.Thread(target=self._run, name="repro-serve-bridge", daemon=True)
         self._thread.start()
 
     def stop(self) -> None:
@@ -340,48 +353,20 @@ class SchedulerBridge:
                 batch.append(item)
         for request, deliver in batch:
             submitted = self.scheduler.submit(request)
-            self._assign_key(submitted)
-            self._deliveries[submitted.request_id] = deliver
+            self.assign_key(submitted)
+            self._track(submitted.request_id, submitted.user_id, deliver)
         if batch or self.scheduler.pending_count:
             try:
                 self.scheduler.run()
             except Exception as error:  # pragma: no cover - defensive
-                # A scheduler bug must not wedge every waiting client: fail
-                # health and unblock the batch with synthetic dead letters
-                # (not journaled — the journal only records real outcomes).
+                # A scheduler bug must not wedge every waiting client.
                 self.health.fail(f"scheduler run failed: {type(error).__name__}: {error}")
-                for request_id, deliver in list(self._deliveries.items()):
-                    key = self._request_keys.get(request_id, ("?", 0))
-                    self._finish(request_id)
-                    deliver(
-                        {
-                            "request_id": request_id,
-                            "user_id": key[0],
-                            "kind": "error",
-                            "dead_letter": True,
-                            "error": type(error).__name__,
-                            "reason": str(error),
-                        }
-                    )
+                self._dead_letter_stranded(type(error).__name__, str(error))
         return stop_seen
-
-    def _finish(self, request_id: int) -> None:
-        deliver = self._deliveries.pop(request_id, None)
-        if deliver is not None:
-            key = self._request_keys.get(request_id)
-            user = key[0] if key is not None else None
-            with self._lock:
-                self._inflight_total -= 1
-                if user is not None and user in self._inflight:
-                    self._inflight[user] -= 1
 
     def _on_entry(self, entry: dict) -> None:
         """Scheduler callback (worker thread): release the slot, deliver."""
-        request_id = entry.get("request_id")
-        deliver = self._deliveries.get(request_id)
-        self._finish(request_id)
-        if deliver is not None:
-            deliver(entry)
+        self._deliver(entry.get("request_id"), entry)
 
     # -- the digest ---------------------------------------------------- #
     def normalized_entries(self) -> List[dict]:
@@ -397,7 +382,7 @@ class SchedulerBridge:
         return frontend_transcript_digest(self.normalized_entries())
 
 
-class ShardedBridge:
+class ShardedBridge(_Admission):
     """:class:`SchedulerBridge`'s sharded twin: admission in front of a
     :class:`~repro.serve.shard.ShardPool`.
 
@@ -417,25 +402,10 @@ class ShardedBridge:
         max_queue_depth: int = DEFAULT_MAX_QUEUE_DEPTH,
         max_inflight_per_user: int = DEFAULT_MAX_INFLIGHT_PER_USER,
     ) -> None:
-        if max_queue_depth < 1:
-            raise ValueError(f"max_queue_depth must be >= 1, got {max_queue_depth}")
-        if max_inflight_per_user < 1:
-            raise ValueError(
-                f"max_inflight_per_user must be >= 1, got {max_inflight_per_user}"
-            )
+        super().__init__(max_queue_depth, max_inflight_per_user)
         self.pool = pool
-        pool.on_entry = self._on_entry
-        self.max_queue_depth = max_queue_depth
-        self.max_inflight_per_user = max_inflight_per_user
-        self.health = ComponentHealth("frontend")
-        self._lock = threading.Lock()
-        self._inflight: Dict[str, int] = {}
-        self._inflight_total = 0
-        self._deliveries: Dict[int, Callable[[dict], None]] = {}
-        self._request_users: Dict[int, str] = {}
+        pool.on_entry = self._deliver
         self._next_request_id = 0
-        self.busy_rejections = 0
-        self.max_depth_seen = 0
         self.summaries: List[dict] = []
 
     # -- lifecycle ------------------------------------------------------ #
@@ -448,9 +418,7 @@ class ShardedBridge:
         and fresh traffic share one id space per shard journal.
         """
         infos = self.pool.start(timeout=timeout)
-        self._next_request_id = max(
-            (info.get("next_request_id", 0) for info in infos), default=0
-        )
+        self._next_request_id = max((info.get("next_request_id", 0) for info in infos), default=0)
         return infos
 
     def start(self) -> None:
@@ -469,66 +437,17 @@ class ShardedBridge:
             self.summaries = self.pool.drain()
         except Exception as error:  # pragma: no cover - defensive
             self.health.fail(f"shard pool drain failed: {type(error).__name__}: {error}")
-        with self._lock:
-            stranded = list(self._deliveries.items())
-        for request_id, _ in stranded:
-            user = self._request_users.get(request_id, "?")
-            deliver = self._release(request_id)
-            if deliver is not None:  # pragma: no cover - dead-shard path
-                deliver(
-                    {
-                        "user_id": user,
-                        "kind": "error",
-                        "dead_letter": True,
-                        "error": "ShardPoolError",
-                        "reason": "shard worker died before serving this request",
-                    }
-                )
-
-    # -- admission (event-loop thread) ---------------------------------- #
-    def try_admit(self, user_id: str) -> Optional[str]:
-        """Reserve one in-flight slot; returns a ``busy`` reason or None."""
-        with self._lock:
-            if self._inflight_total >= self.max_queue_depth:
-                self.busy_rejections += 1
-                return BUSY_QUEUE_FULL
-            if self._inflight.get(user_id, 0) >= self.max_inflight_per_user:
-                self.busy_rejections += 1
-                return BUSY_USER_LIMIT
-            self._inflight_total += 1
-            self._inflight[user_id] = self._inflight.get(user_id, 0) + 1
-            self.max_depth_seen = max(self.max_depth_seen, self._inflight_total)
-            return None
+        self._dead_letter_stranded(
+            "ShardPoolError", "shard worker died before serving this request"
+        )
 
     def enqueue(self, request: Request, deliver: Callable[[dict], None]) -> None:
         """Assign the global id and route one *admitted* request to its shard."""
         with self._lock:
             request = replace(request, request_id=self._next_request_id)
             self._next_request_id += 1
-            self._deliveries[request.request_id] = deliver
-            self._request_users[request.request_id] = request.user_id
+        self._track(request.request_id, request.user_id, deliver)
         self.pool.submit(request)
-
-    @property
-    def inflight_total(self) -> int:
-        with self._lock:
-            return self._inflight_total
-
-    # -- results (pool listener threads) -------------------------------- #
-    def _release(self, request_id: int) -> Optional[Callable[[dict], None]]:
-        with self._lock:
-            deliver = self._deliveries.pop(request_id, None)
-            user = self._request_users.pop(request_id, None)
-            if deliver is not None:
-                self._inflight_total -= 1
-                if user is not None and user in self._inflight:
-                    self._inflight[user] -= 1
-            return deliver
-
-    def _on_entry(self, request_id: int, entry: dict) -> None:
-        deliver = self._release(request_id)
-        if deliver is not None:
-            deliver(entry)
 
     # -- the digest ----------------------------------------------------- #
     def normalized_entries(self) -> List[dict]:
@@ -664,22 +583,12 @@ class _Connection:
         if kind in (OP_CHAT, OP_PERSONALIZE):
             self._dispatch_request(kind, client_id, op)
             return False
-        if kind in (OP_METRICS, OP_STATS, OP_HEALTH):
-            # One payload for all three; the frame kind echoes the op so old
-            # clients still pattern-match on "stats"/"health".  Collecting
-            # the sharded snapshot crosses worker pipes, so it runs off the
-            # event loop.
-            frame_kind = {
-                OP_METRICS: FRAME_METRICS,
-                OP_STATS: FRAME_STATS,
-                OP_HEALTH: FRAME_HEALTH,
-            }[kind]
+        if kind == OP_METRICS:
+            # Collecting the sharded snapshot crosses worker pipes, so it
+            # runs off the event loop.
             loop = asyncio.get_running_loop()
             payload = await loop.run_in_executor(None, self.frontend.metrics_payload)
-            frame = {"frame": frame_kind, "id": client_id, **payload}
-            if kind != OP_METRICS:
-                frame["deprecated"] = True
-            self.send_frame(frame)
+            self.send_frame({"frame": FRAME_METRICS, "id": client_id, **payload})
             return False
         if kind == OP_BYE:
             self.send_frame({"frame": FRAME_BYE, "id": client_id})
@@ -856,111 +765,37 @@ class FrontendOutcome:
 class ServeFrontend:
     """The asyncio TCP server around one scheduler bridge.
 
-    Construction is cheap; :meth:`run` builds the serving environment (base
-    model, store, sessions, scheduler, optional journal), binds the socket
-    and serves until drained.  :class:`FrontendThread` wraps it for callers
-    that need the server in a background thread (tests, benchmarks,
-    ``repro replay``).
+    Construction is cheap; :meth:`run` builds the serving environment (a
+    :class:`~repro.serve.runner.ServingNode`, or a shard pool when
+    ``config.workers > 1``), binds the socket and serves until drained.
+    :class:`FrontendThread` wraps it for callers that need the server in a
+    background thread (tests, benchmarks, ``repro replay``).  The runtime
+    objects (``llm``, ``lexicons``, ``metrics``) are keywords;
+    ``start_worker=False`` parks the scheduler thread until drain (tests
+    of admission), ``shard_mode`` picks the shard workers' mode.
     """
 
     def __init__(
         self,
-        config: Optional[Union[ServeConfig, str]] = None,
-        port: int = 0,
-        scale: Optional[ExperimentScale] = None,
-        seed: int = 0,
-        dataset: str = "meddialog",
+        config: ServeConfig,
+        *,
         llm: Optional[OnDeviceLLM] = None,
         lexicons: Optional[LexiconCollection] = None,
-        pretrain_epochs: Optional[int] = None,
-        cache_capacity: Optional[int] = 4,
-        max_batch_size: int = 8,
-        adapter_dir: Optional[Union[str, Path]] = None,
-        state_dir: Optional[Union[str, Path]] = None,
-        resume: bool = False,
-        fault_plan: Optional[FaultPlan] = None,
-        retry: Optional[RetryPolicy] = None,
-        deadline_seconds: Optional[float] = None,
-        max_queue_depth: int = DEFAULT_MAX_QUEUE_DEPTH,
-        max_inflight_per_user: int = DEFAULT_MAX_INFLIGHT_PER_USER,
-        trace_path: Optional[Union[str, Path]] = None,
-        port_file: Optional[Union[str, Path]] = None,
-        install_signal_handlers: bool = False,
-        start_worker: bool = True,
-        workers: int = 1,
-        shard_mode: Optional[str] = None,
-        host: Optional[str] = None,
         metrics: Optional[MetricsRegistry] = None,
+        start_worker: bool = True,
+        shard_mode: Optional[str] = None,
     ) -> None:
-        if isinstance(config, ServeConfig):
-            host = "127.0.0.1"
-            port = 0
-            if config.listen:
-                host, port = parse_listen(config.listen)
-            scale = config.scale
-            seed = config.seed
-            dataset = config.dataset
-            pretrain_epochs = config.pretrain_epochs
-            cache_capacity = config.cache_capacity
-            max_batch_size = config.max_batch_size
-            adapter_dir = config.adapter_dir
-            state_dir = config.state_dir
-            resume = config.resume
-            fault_plan = config.fault_plan
-            retry = config.retry
-            deadline_seconds = config.deadline_seconds
-            max_queue_depth = config.max_queue_depth
-            max_inflight_per_user = config.max_inflight_per_user
-            trace_path = config.trace_out
-            port_file = config.port_file
-            install_signal_handlers = config.install_signal_handlers
-            workers = config.workers
-            metrics_enabled = config.metrics_enabled
-            metrics_out = config.metrics_out
-            metrics_interval = config.metrics_interval_seconds
-        else:
-            # Legacy keyword-style construction: the old first positional
-            # parameter was ``host``, so a string (or None) lands here.
-            warn_legacy_call("ServeFrontend")
-            host = config if isinstance(config, str) else (host or "127.0.0.1")
-            metrics_enabled = True
-            metrics_out = None
-            metrics_interval = 1.0
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        self.host = host
-        self.port = port
-        self.seed = seed
-        self.dataset = dataset
-        self.scale = scale or get_scale("smoke", seed=seed)
+        self.config = config
+        self.host, self.port = parse_listen(config.listen) if config.listen else ("127.0.0.1", 0)
         self.llm = llm
         self.lexicons = lexicons or builtin_lexicons()
-        self.pretrain_epochs = pretrain_epochs
-        self.cache_capacity = cache_capacity
-        self.max_batch_size = max_batch_size
-        self.adapter_dir = Path(adapter_dir) if adapter_dir is not None else None
-        self.state_dir = Path(state_dir) if state_dir is not None else None
-        self.resume = resume
-        self.fault_plan = fault_plan
-        self.retry = retry
-        self.deadline_seconds = deadline_seconds
-        self.max_queue_depth = max_queue_depth
-        self.max_inflight_per_user = max_inflight_per_user
-        self.trace_path = Path(trace_path) if trace_path is not None else None
-        self.port_file = Path(port_file) if port_file is not None else None
-        self.install_signal_handlers = install_signal_handlers
-        self.start_worker = start_worker
-        self.workers = workers
-        self.shard_mode = shard_mode
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.metrics_enabled = metrics_enabled
-        self.metrics_out = Path(metrics_out) if metrics_out is not None else None
-        self.metrics_interval_seconds = metrics_interval
+        self.start_worker = start_worker
+        self.shard_mode = shard_mode
 
+        #: The serving node behind a single-worker front-end (None when sharded).
+        self.node: Optional[ServingNode] = None
         self.bridge: Optional[Union[SchedulerBridge, ShardedBridge]] = None
-        self.scheduler: Optional[RequestScheduler] = None
-        self.manager = None
-        self.journal: Optional[RequestJournal] = None
         self.recorder = None
         self.draining = False
         self.replayed_requests = 0
@@ -975,178 +810,47 @@ class ServeFrontend:
 
     # -- environment construction -------------------------------------- #
     def _build(self) -> None:
-        if self.workers > 1:
-            self._build_sharded()
-            return
-        faults = FaultInjector(self.fault_plan) if self.fault_plan is not None else None
-        if self.llm is None:
-            self.llm = build_serving_llm(
-                self.scale,
-                dataset=self.dataset,
-                seed=self.seed,
-                lexicons=self.lexicons,
-                pretrain_epochs=self.pretrain_epochs,
-            )
-        generation = serving_generation_config(self.llm, self.scale)
+        """Build the node (or shard pool) and recover, before the socket opens.
 
-        checkpoint_root = None
-        journal_path = None
-        next_request_id = 0
-        commit_seq = 0
-        past = None
-        if self.state_dir is not None:
-            self.state_dir.mkdir(parents=True, exist_ok=True)
-            journal_path = self.state_dir / JOURNAL_FILE
-            checkpoint_root = self.state_dir / "sessions"
-            if self.adapter_dir is None:
-                self.adapter_dir = self.state_dir / "adapters"
-            if journal_path.exists() and not self.resume:
-                raise JournalError(
-                    f"journal already exists at {journal_path}; pass resume=True to replay it"
-                )
-        if self.adapter_dir is None:
-            self._temporary = tempfile.TemporaryDirectory(prefix="repro-frontend-adapters-")
-            self.adapter_dir = Path(self._temporary.name)
-        else:
-            self._temporary = None
-
-        store = LoRAAdapterStore(
-            self.adapter_dir,
-            cache_capacity=self.cache_capacity,
-            faults=faults,
-            metrics=self.metrics,
-        )
-        self.manager = make_session_manager(
-            self.llm,
-            store,
-            self.scale,
-            seed=self.seed,
-            lexicons=self.lexicons,
-            checkpoint_root=checkpoint_root,
-        )
-        if journal_path is not None:
-            past = replay(journal_path)
-            next_request_id = past.next_request_id
-            commit_seq = restore_shared_streams(checkpoint_root, self.llm)
-            self.journal = RequestJournal(journal_path, metrics=self.metrics)
-            self.journal.observe_replay(past)
-            if past.dropped_records:
-                self.journal.health.degrade(
-                    f"dropped {past.dropped_records} corrupt journal record(s) on replay"
-                )
-            if past.meta is None:
-                self.journal.record_meta(
-                    {"frontend": {"seed": self.seed, "dataset": self.dataset,
-                                  "scale": self.scale.name}}
-                )
-        self.scheduler = RequestScheduler(
-            self.manager,
-            max_batch_size=self.max_batch_size,
-            generation=generation,
-            journal=self.journal,
-            faults=faults,
-            retry=self.retry,
-            deadline_seconds=self.deadline_seconds,
-            commit_seq_start=commit_seq,
-            next_request_id_start=next_request_id,
-            metrics=self.metrics,
-        )
-        self.bridge = SchedulerBridge(
-            self.scheduler,
-            max_queue_depth=self.max_queue_depth,
-            max_inflight_per_user=self.max_inflight_per_user,
-        )
-        if past is not None:
-            self._recover(past, store)
-
-    def _build_sharded(self) -> None:
-        """The ``workers > 1`` environment: a shard pool behind the socket.
-
-        One base model is built (or passed in) once; the pool forks (or
-        deep-copies, in thread mode) it into shared-nothing shard workers,
-        each owning a private scheduler, session manager, adapter store and
-        — when durable — its own journal under ``state_dir/shard-NN``.
-        Per-shard journal replay happens inside ``start_pool`` before the
-        socket opens, exactly like the single-scheduler resume path.
-        """
-        from repro.serve.shard import ShardPool  # lazy: shard imports this module
-
-        if self.llm is None:
-            self.llm = build_serving_llm(
-                self.scale,
-                dataset=self.dataset,
-                seed=self.seed,
-                lexicons=self.lexicons,
-                pretrain_epochs=self.pretrain_epochs,
-            )
-        if self.state_dir is None and self.adapter_dir is None:
-            self._temporary = tempfile.TemporaryDirectory(prefix="repro-frontend-adapters-")
-            self.adapter_dir = Path(self._temporary.name)
-        else:
-            self._temporary = None
-        # The journal-meta fence needs *a* workload identity; socket traffic
-        # has none, so a stub derived from the server arguments stands in —
-        # a resume with a different seed or dataset is still refused.
-        load_stub = LoadConfig(
-            num_users=1, num_requests=1, dataset=self.dataset, seed=self.seed
-        )
-        pool = ShardPool(
-            self.workers,
-            llm=self.llm,
-            load=load_stub,
-            scale=self.scale,
-            cache_capacity=self.cache_capacity,
-            max_batch_size=self.max_batch_size,
-            retry=self.retry,
-            deadline_seconds=self.deadline_seconds,
-            fault_plan=self.fault_plan,
-            adapter_root=self.adapter_dir,
-            state_root=self.state_dir,
-            resume=self.resume,
-            mode=self.shard_mode,
-        )
-        bridge = ShardedBridge(
-            pool,
-            max_queue_depth=self.max_queue_depth,
-            max_inflight_per_user=self.max_inflight_per_user,
-        )
-        infos = bridge.start_pool()
-        self.replayed_requests = sum(info.get("replayed_entries", 0) for info in infos)
-        self.bridge = bridge
-        self.scheduler = None
-        self.manager = None
-        self.journal = None
-
-    def _recover(self, past, store) -> None:
-        """The PR-6 replay path, before the socket opens.
-
+        Socket traffic has no workload of its own, so the journal fences a
+        resume on the seed and dataset only, through a stub load.
         Committed-but-unmarked fine-tunes roll forward without re-applying;
         enqueued-but-unfinished requests re-serve to completion (their
         clients are gone, but the journal — and therefore the journal
         digest — still reaches the same final state as an uninterrupted
         run).  Only then does the server start accepting new traffic.
         """
-        replayed = roll_forward(past, store, self.manager, self.journal)
-        self.replayed_requests = len(replayed)
+        if self.llm is None:
+            self.llm = serving_llm(self.config, self.lexicons)
+        stub = LoadConfig(
+            num_users=1, num_requests=1, dataset=self.config.dataset, seed=self.config.seed
+        )
+        config = self.config.with_(load=stub)
+        if config.workers > 1:
+            from repro.serve.shard import ShardPool  # lazy: shard imports this module
+
+            bridge = ShardedBridge(
+                ShardPool(config, llm=self.llm, mode=self.shard_mode),
+                max_queue_depth=config.max_queue_depth,
+                max_inflight_per_user=config.max_inflight_per_user,
+            )
+            infos = bridge.start_pool()
+            self.replayed_requests = sum(info.get("replayed_entries", 0) for info in infos)
+            self.bridge = bridge
+            return
+        self.node = ServingNode(config, llm=self.llm, lexicons=self.lexicons, metrics=self.metrics)
+        scheduler = self.node.run(_serve_pending)
+        self.bridge = SchedulerBridge(
+            scheduler,
+            max_queue_depth=config.max_queue_depth,
+            max_inflight_per_user=config.max_inflight_per_user,
+        )
         # Normalized keys for everything the journal has seen keep resumed
         # and fresh traffic in one consistent per-user sequence space.
+        past = self.node.past
         for request_id in sorted(past.enqueued):
-            request = past.enqueued[request_id]
-            if past.is_finished(request_id) or request_id in replayed:
-                self.bridge._assign_key(request)
-                continue
-            self.bridge.submit_local(request, journal_record=False)
-        if self.scheduler.pending_count:
-            self.scheduler.run()
-            self._flush_tolerantly()
-
-    def _flush_tolerantly(self) -> None:
-        if self.manager is None:  # sharded: each worker flushed its own store
-            return
-        try:
-            self.manager.flush()
-        except TransientServingError as error:
-            self.manager.store.health.degrade(f"adapter flush failed: {error}")
+            self.bridge.assign_key(past.enqueued[request_id])
+        self.replayed_requests = self.node.replayed_total
 
     # -- recording ------------------------------------------------------ #
     def record_admitted(self, kind: str, user: str, op: dict) -> None:
@@ -1171,35 +875,14 @@ class ServeFrontend:
         ``queue_depths`` is empty when the queues live inside shard
         workers), so dashboards never branch on deployment shape.
         """
-        if self.scheduler is None:
-            transcript = self.bridge.normalized_entries()
-            pending = self.bridge.inflight_total
-            queue_depths: dict = {}
-        else:
-            transcript = list(self.scheduler.transcript)
-            pending = self.scheduler.pending_count
-            queue_depths = self.scheduler.queue_depths()
-        dead = sum(1 for entry in transcript if entry.get("dead_letter"))
+        scheduler = self.node.scheduler if self.node is not None else None
         return {
-            "served": {
-                "total": len(transcript),
-                "chat": sum(
-                    1
-                    for e in transcript
-                    if e.get("kind") == CHAT and not e.get("dead_letter")
-                ),
-                "personalize": sum(
-                    1
-                    for e in transcript
-                    if e.get("kind") == PERSONALIZE and not e.get("dead_letter")
-                ),
-                "dead_letter": dead,
-            },
-            "pending": pending,
+            "served": _served_counts(self.bridge.normalized_entries()),
+            "pending": self.bridge.inflight_total if scheduler is None else scheduler.pending_count,
             "inflight": self.bridge.inflight_total,
             "busy_rejections": self.bridge.busy_rejections,
-            "queue_depths": queue_depths,
-            "workers": self.workers,
+            "queue_depths": {} if scheduler is None else scheduler.queue_depths(),
+            "workers": self.config.workers,
             "draining": self.draining,
             "transcript_digest": self.bridge.transcript_digest(),
         }
@@ -1211,17 +894,12 @@ class ServeFrontend:
         so single and sharded snapshots expose the same key-set.
         """
         observe_health(self.metrics, self.health_snapshot()["components"])
-        if self.scheduler is None and self.bridge is not None:
+        if self.node is None and self.bridge is not None:
             return merge_snapshots([self.bridge.pool.merged_metrics(), self.metrics.snapshot()])
         return self.metrics.snapshot()
 
     def metrics_payload(self) -> dict:
-        """The versioned body the ``metrics`` op (and its aliases) returns.
-
-        A strict superset of the pre-v2 ``stats`` and ``health`` bodies, so
-        the deprecated ops keep satisfying their old consumers while new
-        ones read the ``metrics`` snapshot from the same frame.
-        """
+        """The versioned body the ``metrics`` op returns."""
         payload = dict(self.stats())
         payload.update(self.health_snapshot())
         payload["metrics"] = self.metrics_snapshot()
@@ -1231,18 +909,14 @@ class ServeFrontend:
         return payload
 
     def health_snapshot(self) -> dict:
-        if self.scheduler is None:
-            # Worker-side health arrives with the drain summaries; the live
-            # snapshot covers the component this process owns.
-            return HealthRegistry.from_components([self.bridge.health]).to_dict()
-        components = [
-            self.bridge.health,
-            self.scheduler.health,
-            self.manager.health,
-            self.manager.store.health,
-        ]
-        if self.journal is not None:
-            components.append(self.journal.health)
+        # Sharded: worker-side health arrives with the drain summaries; the
+        # live snapshot covers the component this process owns.
+        components = [self.bridge.health]
+        node = self.node
+        if node is not None:
+            components += [node.scheduler.health, node.manager.health, node.store.health]
+            if node.journal is not None:
+                components.append(node.journal.health)
         return HealthRegistry.from_components(components).to_dict()
 
     # -- drain ---------------------------------------------------------- #
@@ -1264,26 +938,27 @@ class ServeFrontend:
     # -- the run -------------------------------------------------------- #
     def run(self) -> FrontendOutcome:
         """Build, serve until drained, and report; blocks the calling thread."""
+        config = self.config
         self._build()
-        if self.trace_path is not None:
+        if config.trace_out is not None:
             from repro.serve.trace import TraceRecorder
 
             self.recorder = TraceRecorder(
-                self.trace_path,
+                config.trace_out,
                 meta={
-                    "scale": self.scale.name,
-                    "seed": self.seed,
-                    "dataset": self.dataset,
-                    "pretrain_epochs": self.pretrain_epochs,
-                    "max_batch_size": self.max_batch_size,
+                    "scale": config.resolved_scale().name,
+                    "seed": config.seed,
+                    "dataset": config.dataset,
+                    "pretrain_epochs": config.pretrain_epochs,
+                    "max_batch_size": config.max_batch_size,
                 },
             )
         snapshotter: Optional[PeriodicSnapshotter] = None
-        if self.metrics_enabled and self.metrics_out is not None:
+        if config.metrics_enabled and config.metrics_out is not None:
             snapshotter = PeriodicSnapshotter(
                 self.metrics,
-                self.metrics_out,
-                self.metrics_interval_seconds,
+                config.metrics_out,
+                config.metrics_interval_seconds,
                 snapshot_fn=self.metrics_snapshot,
             ).start()
         start = time.perf_counter()
@@ -1291,9 +966,8 @@ class ServeFrontend:
             asyncio.run(self._serve())
         finally:
             elapsed = time.perf_counter() - start
-            self._flush_tolerantly()
-            if self.journal is not None:
-                self.journal.close()
+            if self.node is not None:
+                self.node.close()
             if snapshotter is not None:
                 snapshotter.stop()
         self.outcome = self._make_outcome(elapsed)
@@ -1316,11 +990,12 @@ class ServeFrontend:
             self._handle, self.host, self.port, limit=MAX_FRAME_BYTES + 1024
         )
         self.bound_port = server.sockets[0].getsockname()[1]
-        if self.port_file is not None:
-            self.port_file.parent.mkdir(parents=True, exist_ok=True)
-            self.port_file.write_text(f"{self.bound_port}\n")
+        port_file = self.config.port_file
+        if port_file is not None:
+            port_file.parent.mkdir(parents=True, exist_ok=True)
+            port_file.write_text(f"{self.bound_port}\n")
         installed: List[int] = []
-        if self.install_signal_handlers:
+        if self.config.install_signal_handlers:
             for signum in (signal.SIGINT, signal.SIGTERM):
                 try:
                     self._loop.add_signal_handler(signum, self.request_drain)
@@ -1371,96 +1046,65 @@ class ServeFrontend:
 
     # -- the outcome ---------------------------------------------------- #
     def _make_outcome(self, elapsed: float) -> FrontendOutcome:
-        if self.scheduler is None:
-            return self._make_outcome_sharded(elapsed)
-        transcript = self.bridge.normalized_entries()
-        dead = len(self.scheduler.dead_letters)
-        chat = sum(
-            1 for e in transcript if e.get("kind") == CHAT and not e.get("dead_letter")
+        transcript = sorted(
+            self.bridge.normalized_entries(), key=lambda e: (e["user_id"], e["user_seq"])
         )
-        personalize = sum(
-            1
-            for e in transcript
-            if e.get("kind") == PERSONALIZE and not e.get("dead_letter")
-        )
-        total = len(transcript)
-        journal_path = None if self.state_dir is None else self.state_dir / JOURNAL_FILE
-        health = self.scheduler.health_report()
-        health[self.bridge.health.component] = self.bridge.health.to_dict()
-        ordered = sorted(transcript, key=lambda e: (e["user_id"], e["user_seq"]))
-        return FrontendOutcome(
-            host=self.host,
-            port=self.bound_port if self.bound_port is not None else self.port,
-            total_requests=total,
-            chat_requests=chat,
-            personalize_requests=personalize,
-            dead_letter_requests=dead,
-            degraded_chat_requests=self.scheduler.degraded_chats,
-            busy_rejections=self.bridge.busy_rejections,
-            num_users=len({e["user_id"] for e in transcript}),
-            elapsed_seconds=elapsed,
-            requests_per_sec=total / elapsed if elapsed > 0 else 0.0,
-            transcript_digest=frontend_transcript_digest(transcript),
-            journal_digest=None if journal_path is None else journal_digest(journal_path),
-            replayed_requests=self.replayed_requests,
-            max_queue_depth_seen=self.bridge.max_depth_seen,
-            health=health,
-            transcript=ordered,
-            metrics=self.metrics_snapshot() if self.metrics_enabled else None,
-        )
-
-    def _make_outcome_sharded(self, elapsed: float) -> FrontendOutcome:
-        transcript = self.bridge.normalized_entries()
-        summaries = self.bridge.summaries
-        dead = (
-            sum(s["dead_letter_requests"] for s in summaries)
-            if summaries
-            else sum(1 for e in transcript if e.get("dead_letter"))
-        )
-        degraded = sum(s["degraded_chat_requests"] for s in summaries)
-        chat = sum(
-            1 for e in transcript if e.get("kind") == CHAT and not e.get("dead_letter")
-        )
-        personalize = sum(
-            1
-            for e in transcript
-            if e.get("kind") == PERSONALIZE and not e.get("dead_letter")
-        )
-        total = len(transcript)
-        # Per-shard journal digests compose the way the transcript digest
-        # does: one SHA-256 over the sorted ``shard:digest`` lines.
-        shard_digests = sorted(
-            (s["index"], s["journal_digest"]) for s in summaries
-        )
-        journal = None
-        if shard_digests and all(digest is not None for _, digest in shard_digests):
-            joined = "\n".join(f"{index}:{digest}" for index, digest in shard_digests)
-            journal = hashlib.sha256(joined.encode("utf-8")).hexdigest()
+        served = _served_counts(transcript)
         health = {self.bridge.health.component: self.bridge.health.to_dict()}
-        for summary in summaries:
-            for name, state in summary.get("health", {}).items():
-                health[f"shard{summary['index']:02d}.{name}"] = dict(state)
-        ordered = sorted(transcript, key=lambda e: (e["user_id"], e["user_seq"]))
+        node = self.node
+        if node is not None:
+            health.update(node.scheduler.health_report())
+            journal = journal_digest(node.journal_path) if node.durable else None
+        else:
+            summaries = self.bridge.summaries
+            for summary in summaries:
+                for name, state in summary.get("health", {}).items():
+                    health[f"shard{summary['index']:02d}.{name}"] = dict(state)
+            # Per-shard journal digests compose the way the transcript digest
+            # does: one SHA-256 over the sorted ``shard:digest`` lines.
+            shard_digests = sorted((s["index"], s["journal_digest"]) for s in summaries)
+            journal = None
+            if shard_digests and all(digest is not None for _, digest in shard_digests):
+                joined = "\n".join(f"{index}:{digest}" for index, digest in shard_digests)
+                journal = hashlib.sha256(joined.encode("utf-8")).hexdigest()
         return FrontendOutcome(
             host=self.host,
             port=self.bound_port if self.bound_port is not None else self.port,
-            total_requests=total,
-            chat_requests=chat,
-            personalize_requests=personalize,
-            dead_letter_requests=dead,
-            degraded_chat_requests=degraded,
+            total_requests=served["total"],
+            chat_requests=served["chat"],
+            personalize_requests=served["personalize"],
+            dead_letter_requests=served["dead_letter"],
+            degraded_chat_requests=sum(1 for e in transcript if e.get("degraded")),
             busy_rejections=self.bridge.busy_rejections,
             num_users=len({e["user_id"] for e in transcript}),
             elapsed_seconds=elapsed,
-            requests_per_sec=total / elapsed if elapsed > 0 else 0.0,
+            requests_per_sec=served["total"] / elapsed if elapsed > 0 else 0.0,
             transcript_digest=frontend_transcript_digest(transcript),
             journal_digest=journal,
             replayed_requests=self.replayed_requests,
             max_queue_depth_seen=self.bridge.max_depth_seen,
             health=health,
-            transcript=ordered,
-            metrics=self.metrics_snapshot() if self.metrics_enabled else None,
+            transcript=transcript,
+            metrics=self.metrics_snapshot() if self.config.metrics_enabled else None,
         )
+
+
+def _serve_pending(scheduler: RequestScheduler) -> RequestScheduler:
+    """Serve what recovery resubmitted (a no-op on a fresh journal)."""
+    if scheduler.pending_count:
+        scheduler.run()
+    return scheduler
+
+
+def _served_counts(transcript: List[dict]) -> Dict[str, int]:
+    """Total / chat / personalize / dead-letter counts of a transcript."""
+    live = [e for e in transcript if not e.get("dead_letter")]
+    return {
+        "total": len(transcript),
+        "chat": sum(1 for e in live if e.get("kind") == CHAT),
+        "personalize": sum(1 for e in live if e.get("kind") == PERSONALIZE),
+        "dead_letter": len(transcript) - len(live),
+    }
 
 
 class FrontendThread:

@@ -1,11 +1,14 @@
-"""End-to-end serving runs: build the environment, serve a load, report.
+"""End-to-end serving runs: one serving node, every serving path.
 
-This is the glue the ``repro serve`` CLI, the serving benchmark and the
-tests share: one call builds the shared pre-trained base model, the adapter
-store, the session manager and the scheduler, generates the deterministic
-synthetic load and serves it.
+:class:`ServingNode` is the one assembly of a serving process: adapter
+store, session manager, optional request journal and scheduler over a
+shared base model, plus everything a restart needs.  Every serving path
+builds through it — :func:`run_serve` (the ``repro serve`` synthetic-load
+run), the socket front-end (:class:`~repro.serve.frontend.ServeFrontend`)
+and each shard worker of :mod:`repro.serve.shard` — so they recover, fence
+and restart identically.
 
-With a ``state_dir`` the run becomes *durable*: every request is journaled
+With a ``state_dir`` a node is *durable*: every request is journaled
 before it is served, personalize rounds commit through per-user engine
 checkpoints, and a crashed run — injected soft crash, ``SIGKILL``, power
 cut — resumes from the journal with at-least-once chat and exactly-once
@@ -23,20 +26,20 @@ import tempfile
 import threading
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Callable, Dict, List, Optional, TypeVar, Union
 
 import numpy as np
 
 from repro.core.checkpoint import CheckpointError, CheckpointManager
 from repro.data.lexicons import LexiconCollection, builtin_lexicons
-from repro.experiments.presets import ExperimentScale, get_scale
+from repro.experiments.presets import ExperimentScale
 from repro.llm.generation import GenerationConfig
 from repro.llm.model import OnDeviceLLM
 from repro.obs import MetricsRegistry, PeriodicSnapshotter
 from repro.serve.adapter_store import LoRAAdapterStore
-from repro.serve.config import ServeConfig, warn_legacy_call
-from repro.serve.errors import RetryPolicy, TransientServingError
-from repro.serve.faults import FaultInjector, FaultPlan, InjectedCrash
+from repro.serve.config import ServeConfig
+from repro.serve.errors import TransientServingError
+from repro.serve.faults import FaultInjector, InjectedCrash
 from repro.serve.journal import (
     JOURNAL_FILE,
     JournalError,
@@ -46,7 +49,7 @@ from repro.serve.journal import (
     replay,
 )
 from repro.serve.loadgen import LoadConfig, build_serving_llm, generate_load
-from repro.serve.scheduler import PersonalizeRequest, RequestScheduler, ServeReport
+from repro.serve.scheduler import PersonalizeRequest, Request, RequestScheduler, ServeReport
 from repro.serve.session import SessionManager, serving_framework_config
 
 
@@ -110,6 +113,17 @@ def make_session_manager(
         framework_config_factory=framework_config,
         seed=seed,
         checkpoint_root=checkpoint_root,
+    )
+
+
+def serving_llm(config: ServeConfig, lexicons: Optional[LexiconCollection] = None) -> OnDeviceLLM:
+    """Pre-train (or load from the base cache) the base model ``config`` serves from."""
+    return build_serving_llm(
+        config.resolved_scale(),
+        dataset=config.dataset,
+        seed=config.seed,
+        lexicons=lexicons,
+        pretrain_epochs=config.pretrain_epochs,
     )
 
 
@@ -251,273 +265,274 @@ def roll_forward(
 
 
 # ---------------------------------------------------------------------- #
+# the serving node
+# ---------------------------------------------------------------------- #
+T = TypeVar("T")
+
+
+class ServingNode:
+    """One serving process: store + sessions + journal + scheduler, restartable.
+
+    The node owns every step between a :class:`ServeConfig` and a scheduler
+    that is ready to serve:
+
+    - the directories: adapters in ``adapter_dir`` (a temporary directory
+      when unset and not durable), or, with a ``state_dir``, the journal,
+      per-user checkpoints and ``<state_dir>/adapters``;
+    - assembly (:meth:`start`): adapter store, session manager, journal and
+      scheduler over the shared ``llm``;
+    - recovery: journal replay, the dropped-record degrade, the meta record
+      and the meta fence (a resume for a different workload is refused),
+      committed-but-unmarked personalize rounds rolled forward, and the
+      rest of the journal's pending requests resubmitted;
+    - restart after an :class:`InjectedCrash` (:meth:`run`), up to
+      ``max_restarts`` times, from a snapshot of the base model's runtime
+      state;
+    - the end (:meth:`close`): a tolerant final adapter flush and the
+      journal close.
+
+    ``journal_meta`` adds keys to the journal's meta record (shards record
+    their index); the fence compares only ``config.load``.
+    """
+
+    def __init__(
+        self,
+        config: ServeConfig,
+        *,
+        llm: OnDeviceLLM,
+        lexicons: Optional[LexiconCollection] = None,
+        metrics: Optional[MetricsRegistry] = None,
+        journal_meta: Optional[dict] = None,
+    ) -> None:
+        plan = config.fault_plan
+        self.config = config
+        self.scale = config.resolved_scale()
+        self.llm = llm
+        self.lexicons = lexicons or builtin_lexicons()
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.journal_meta = {"load": asdict(config.load), "scale": self.scale.name}
+        self.journal_meta.update(journal_meta or {})
+        self.faults = FaultInjector(plan) if plan is not None else None
+        self.generation = serving_generation_config(llm, self.scale)
+        self.journal_path: Optional[Path] = None
+        self.checkpoint_root: Optional[Path] = None
+        self._temporary: Optional[tempfile.TemporaryDirectory] = None
+        if config.state_dir is None:
+            if plan is not None and plan.crash_point is not None:
+                raise ValueError("crash injection requires a state_dir to recover from")
+            if config.adapter_dir is None:
+                self._temporary = tempfile.TemporaryDirectory(prefix="repro-adapters-")
+            self.store_dir = Path(self._temporary.name if self._temporary else config.adapter_dir)
+        else:
+            state = Path(config.state_dir)
+            state.mkdir(parents=True, exist_ok=True)
+            self.journal_path = state / JOURNAL_FILE
+            self.checkpoint_root = state / "sessions"
+            self.store_dir = Path(config.adapter_dir or state / "adapters")
+            if self.journal_path.exists() and not config.resume:
+                raise JournalError(
+                    f"journal already exists at {self.journal_path}; "
+                    "pass resume=True to replay it"
+                )
+        #: The adapter directory that outlives the node (None when temporary).
+        self.adapter_dir = None if self._temporary else self.store_dir
+        self.restarts = 0
+        #: Personalize rounds the latest recovery rolled forward, by request
+        #: id (``replayed_total`` counts those of every recovery).
+        self.replayed: Dict[int, dict] = {}
+        self.replayed_total = 0
+        self.past = JournalReplay()
+        self.store: Optional[LoRAAdapterStore] = None
+        self.manager: Optional[SessionManager] = None
+        self.journal: Optional[RequestJournal] = None
+        self.scheduler: Optional[RequestScheduler] = None
+        self._runtime_snapshot: Optional[dict] = None
+
+    @property
+    def durable(self) -> bool:
+        return self.journal_path is not None
+
+    # -- lifecycle ------------------------------------------------------ #
+    def start(self) -> RequestScheduler:
+        """Assemble a fresh stack and recover what the journal holds."""
+        self.store = LoRAAdapterStore(
+            self.store_dir,
+            cache_capacity=self.config.cache_capacity,
+            faults=self.faults,
+            metrics=self.metrics,
+        )
+        self.manager = make_session_manager(
+            self.llm,
+            self.store,
+            self.scale,
+            seed=self.config.seed,
+            lexicons=self.lexicons,
+            checkpoint_root=self.checkpoint_root,
+        )
+        if self._runtime_snapshot is None:
+            # Taken after the manager injected LoRA: restoring this snapshot
+            # is the in-process equivalent of a reboot — same weights, same
+            # RNG streams as a freshly started server.
+            self._runtime_snapshot = self.llm.export_runtime_state()
+        commit_seq = 0
+        self.journal = None
+        if self.durable:
+            commit_seq = restore_shared_streams(self.checkpoint_root, self.llm)
+            self.past = replay(self.journal_path)
+            _check_journal_meta(self.past, self.config.load)
+            self.journal = RequestJournal(
+                self.journal_path, fsync=self.config.fsync, metrics=self.metrics
+            )
+        self.scheduler = RequestScheduler(
+            self.manager,
+            max_batch_size=self.config.max_batch_size,
+            generation=self.generation,
+            journal=self.journal,
+            faults=self.faults,
+            retry=self.config.retry,
+            deadline_seconds=self.config.deadline_seconds,
+            commit_seq_start=commit_seq,
+            next_request_id_start=self.past.next_request_id,
+            metrics=self.metrics,
+        )
+        if self.journal is not None:
+            self._recover()
+        return self.scheduler
+
+    def _recover(self) -> None:
+        past, journal = self.past, self.journal
+        journal.observe_replay(past)
+        if past.dropped_records:
+            journal.health.degrade(
+                f"dropped {past.dropped_records} corrupt journal record(s) on replay"
+            )
+        if past.meta is None:
+            journal.record_meta(self.journal_meta)
+        self.replayed = roll_forward(past, self.store, self.manager, journal)
+        self.replayed_total += len(self.replayed)
+        for request in past.pending:
+            if request.request_id not in self.replayed:
+                self.scheduler.submit(request, journal_record=False)
+
+    def submit(self, request: Request) -> None:
+        """Submit a request unless the journal already knows its id.
+
+        Known ids were finished, rolled forward, or resubmitted by recovery;
+        submitting one again would serve it twice.
+        """
+        request_id = request.request_id
+        if request_id in self.past.enqueued or self.past.is_finished(request_id):
+            return
+        self.scheduler.submit(request)
+
+    def run(self, serve: Callable[[RequestScheduler], T]) -> T:
+        """Start, then ``serve(scheduler)``; a soft crash restarts from the journal.
+
+        Any other failure (or giving up after ``max_restarts``) closes the
+        node without the final flush and re-raises.
+        """
+        try:
+            while True:
+                try:
+                    return serve(self.start())
+                except InjectedCrash:
+                    self.journal.close()
+                    self.restarts += 1
+                    self.metrics.counter("serve_restarts_total").inc()
+                    if self.restarts > self.config.max_restarts:
+                        raise RuntimeError(
+                            f"gave up after {self.config.max_restarts} injected-crash restarts"
+                        ) from None
+                    self.llm.load_runtime_state(self._runtime_snapshot)
+        except BaseException:
+            self.close(flush=False)
+            raise
+
+    def close(self, flush: bool = True) -> None:
+        """Final adapter flush, journal close, temporary-directory cleanup.
+
+        The flush is tolerant: everything that matters for recovery is
+        already durable (journal + checkpoints), so a store hiccup at the
+        very end must not fail a run that served every request.
+        ``flush=False`` is the failure path: adapters of a crashed boot are
+        never written back.
+        """
+        if flush and self.manager is not None:
+            try:
+                self.manager.flush()
+            except TransientServingError as error:
+                self.store.health.degrade(f"final adapter flush failed: {error}")
+        if self.journal is not None:
+            self.journal.close()
+        if self._temporary is not None:
+            self._temporary.cleanup()
+
+
+# ---------------------------------------------------------------------- #
 # the entry point
 # ---------------------------------------------------------------------- #
 def run_serve(
-    load: Union[LoadConfig, ServeConfig],
-    scale: Optional[ExperimentScale] = None,
-    adapter_dir: Optional[Union[str, Path]] = None,
-    cache_capacity: Optional[int] = 4,
-    max_batch_size: int = 8,
-    lexicons: Optional[LexiconCollection] = None,
-    pretrain_epochs: Optional[int] = None,
+    config: ServeConfig,
+    *,
     llm: Optional[OnDeviceLLM] = None,
-    state_dir: Optional[Union[str, Path]] = None,
-    resume: bool = False,
-    fault_plan: Optional[FaultPlan] = None,
-    retry: Optional[RetryPolicy] = None,
-    deadline_seconds: Optional[float] = None,
-    fsync: bool = False,
-    max_restarts: int = 8,
-    install_signal_handlers: bool = False,
+    lexicons: Optional[LexiconCollection] = None,
     metrics: Optional[MetricsRegistry] = None,
 ) -> ServeOutcome:
     """Serve one synthetic workload end to end; returns the outcome.
 
-    The first argument is a :class:`~repro.serve.config.ServeConfig` — the
-    typed description of the whole run.  Passing a bare
-    :class:`~repro.serve.loadgen.LoadConfig` plus individual keyword
-    arguments is the deprecated pre-config calling convention: it still
-    works for one release (a :class:`DeprecationWarning` is emitted) and
-    builds the equivalent config internally.
+    Runtime objects are keywords: pass ``llm`` to reuse an already-built
+    base model (the benchmark does this to compare policies on identical
+    weights), ``lexicons`` to override the built-ins, and ``metrics`` to
+    aggregate several runs into one registry.
 
-    Runtime objects stay keywords in both styles: pass ``llm`` to reuse an
-    already-built base model (the benchmark does this to compare policies
-    on identical weights), ``lexicons`` to override the built-ins, and
-    ``metrics`` to aggregate several runs into one registry.
-
-    With ``adapter_dir`` unset the adapter files live in a temporary
+    With ``config.adapter_dir`` unset the adapter files live in a temporary
     directory that is discarded after the run (the report keeps the store
-    statistics).
-
-    With ``state_dir`` the run is durable (journal + per-user checkpoints
-    under that directory, adapters in ``<state_dir>/adapters`` unless
-    ``adapter_dir`` overrides).  ``resume=False`` requires a fresh journal;
-    ``resume=True`` replays an existing one: finished requests are skipped,
-    committed-but-unmarked personalize rounds are rolled forward, and
-    everything else is re-served.  Injected *soft* crashes restart in
-    process (up to ``max_restarts`` times) from a snapshot of the base
-    model's runtime state; a hard crash (``SIGKILL``) needs a new process
-    calling back with ``resume=True``.
+    statistics).  With ``config.state_dir`` the run is durable; see
+    :class:`ServingNode` for recovery, the resume fence and in-process
+    restarts.  A hard crash (``SIGKILL``) needs a new process calling back
+    with ``resume=True``.
     """
-    if isinstance(load, ServeConfig):
-        config = load
-    else:
-        warn_legacy_call("run_serve")
-        config = ServeConfig(
-            load=load,
-            scale=scale,
-            adapter_dir=None if adapter_dir is None else Path(adapter_dir),
-            cache_capacity=cache_capacity,
-            max_batch_size=max_batch_size,
-            pretrain_epochs=pretrain_epochs,
-            state_dir=None if state_dir is None else Path(state_dir),
-            resume=resume,
-            fault_plan=fault_plan,
-            retry=retry,
-            deadline_seconds=deadline_seconds,
-            fsync=fsync,
-            max_restarts=max_restarts,
-            install_signal_handlers=install_signal_handlers,
-        )
-    return _run_serve(config, lexicons=lexicons, llm=llm, metrics=metrics)
-
-
-def _run_serve(
-    config: ServeConfig,
-    lexicons: Optional[LexiconCollection] = None,
-    llm: Optional[OnDeviceLLM] = None,
-    metrics: Optional[MetricsRegistry] = None,
-) -> ServeOutcome:
-    load = config.load
-    scale = config.resolved_scale()
     lexicons = lexicons or builtin_lexicons()
-    fault_plan = config.fault_plan
-    faults = FaultInjector(fault_plan) if fault_plan is not None else None
     registry = metrics if metrics is not None else MetricsRegistry()
     if llm is None:
-        llm = build_serving_llm(
-            scale,
-            dataset=load.dataset,
-            seed=load.seed,
-            lexicons=lexicons,
-            pretrain_epochs=config.pretrain_epochs,
-        )
-    generation = serving_generation_config(llm, scale)
+        llm = serving_llm(config, lexicons)
+    node = ServingNode(config, llm=llm, lexicons=lexicons, metrics=registry)
+
+    def serve(scheduler: RequestScheduler) -> ServeReport:
+        for request in generate_load(config.load, lexicons=lexicons):
+            node.submit(request)
+        return scheduler.run()
 
     snapshotter: Optional[PeriodicSnapshotter] = None
     if config.metrics_enabled and config.metrics_out is not None:
         snapshotter = PeriodicSnapshotter(
             registry, config.metrics_out, config.metrics_interval_seconds
         ).start()
+    restore_handlers = (
+        _install_stop_handlers(node) if config.install_signal_handlers and node.durable else None
+    )
     try:
-        outcome = _serve_with_config(config, scale, lexicons, faults, registry, llm, generation)
+        report = node.run(serve)
     finally:
+        if restore_handlers is not None:
+            restore_handlers()
         if snapshotter is not None:
             snapshotter.stop()
-    if config.metrics_enabled:
-        outcome.metrics = registry.snapshot()
-    return outcome
-
-
-def _serve_with_config(
-    config: ServeConfig,
-    scale: ExperimentScale,
-    lexicons: LexiconCollection,
-    faults: Optional[FaultInjector],
-    registry: MetricsRegistry,
-    llm: OnDeviceLLM,
-    generation: GenerationConfig,
-) -> ServeOutcome:
-    load = config.load
-    fault_plan = config.fault_plan
-    if config.state_dir is None:
-        if fault_plan is not None and fault_plan.crash_point is not None:
-            raise ValueError("crash injection requires a state_dir to recover from")
-        temporary: Optional[tempfile.TemporaryDirectory] = None
-        if config.adapter_dir is None:
-            temporary = tempfile.TemporaryDirectory(prefix="repro-adapters-")
-            store_dir = Path(temporary.name)
-        else:
-            store_dir = Path(config.adapter_dir)
-        try:
-            store = LoRAAdapterStore(
-                store_dir,
-                cache_capacity=config.cache_capacity,
-                faults=faults,
-                metrics=registry,
-            )
-            manager = make_session_manager(llm, store, scale, seed=load.seed, lexicons=lexicons)
-            scheduler = RequestScheduler(
-                manager,
-                max_batch_size=config.max_batch_size,
-                generation=generation,
-                faults=faults,
-                retry=config.retry,
-                deadline_seconds=config.deadline_seconds,
-                metrics=registry,
-            )
-            scheduler.submit_many(generate_load(load, lexicons=lexicons))
-            report = scheduler.run()
-            _flush_tolerantly(manager)
-            return ServeOutcome(
-                report=report,
-                transcript=list(scheduler.transcript),
-                adapter_dir=None if temporary is not None else store_dir,
-                faults=None if faults is None else faults.report(),
-            )
-        finally:
-            if temporary is not None:
-                temporary.cleanup()
-
-    # ------------------------------------------------------------------ #
-    # durable serving
-    # ------------------------------------------------------------------ #
-    state_path = Path(config.state_dir)
-    state_path.mkdir(parents=True, exist_ok=True)
-    journal_path = state_path / JOURNAL_FILE
-    checkpoint_root = state_path / "sessions"
-    store_dir = (
-        Path(config.adapter_dir) if config.adapter_dir is not None else state_path / "adapters"
-    )
-    if journal_path.exists() and not config.resume:
-        raise JournalError(
-            f"journal already exists at {journal_path}; pass resume=True to replay it"
-        )
-
-    runtime_snapshot: Optional[dict] = None
-    restarts = 0
-    replayed_total = 0
-    while True:
-        store = LoRAAdapterStore(
-            store_dir,
-            cache_capacity=config.cache_capacity,
-            faults=faults,
-            metrics=registry,
-        )
-        manager = make_session_manager(
-            llm, store, scale, seed=load.seed, lexicons=lexicons, checkpoint_root=checkpoint_root
-        )
-        if runtime_snapshot is None:
-            # Taken after the manager injected LoRA: restoring this snapshot
-            # is the in-process equivalent of a reboot — same weights, same
-            # RNG streams as a freshly started server.
-            runtime_snapshot = llm.export_runtime_state()
-        commit_seq = restore_shared_streams(checkpoint_root, llm)
-        journal = RequestJournal(journal_path, fsync=config.fsync, metrics=registry)
-        scheduler = RequestScheduler(
-            manager,
-            max_batch_size=config.max_batch_size,
-            generation=generation,
-            journal=journal,
-            faults=faults,
-            retry=config.retry,
-            deadline_seconds=config.deadline_seconds,
-            commit_seq_start=commit_seq,
-            metrics=registry,
-        )
-        restore_handlers = (
-            _install_stop_handlers(scheduler) if config.install_signal_handlers else None
-        )
-        try:
-            past = replay(journal_path)
-            journal.observe_replay(past)
-            _check_journal_meta(past, load)
-            if past.dropped_records:
-                journal.health.degrade(
-                    f"dropped {past.dropped_records} corrupt journal record(s) on replay"
-                )
-            if past.meta is None:
-                journal.record_meta({"load": asdict(load), "scale": scale.name})
-            replayed = roll_forward(past, store, manager, journal)
-            replayed_total += len(replayed)
-            for request in generate_load(load, lexicons=lexicons):
-                request_id = request.request_id
-                if past.is_finished(request_id) or request_id in replayed:
-                    continue
-                scheduler.submit(request, journal_record=request_id not in past.enqueued)
-            report = scheduler.run()
-            _flush_tolerantly(manager)
-            journal.close()
-            break
-        except InjectedCrash:
-            journal.close()
-            restarts += 1
-            registry.counter("serve_restarts_total").inc()
-            if restarts > config.max_restarts:
-                raise RuntimeError(
-                    f"gave up after {config.max_restarts} injected-crash restarts"
-                ) from None
-            llm.load_runtime_state(runtime_snapshot)
-        finally:
-            if restore_handlers is not None:
-                restore_handlers()
+    node.close()
     return ServeOutcome(
         report=report,
-        transcript=list(scheduler.transcript),
-        adapter_dir=store_dir,
-        state_dir=state_path,
-        journal_digest=journal_digest(journal_path),
-        restarts=restarts,
-        replayed_requests=replayed_total,
-        faults=None if faults is None else faults.report(),
+        transcript=list(node.scheduler.transcript),
+        adapter_dir=node.adapter_dir,
+        state_dir=node.journal_path.parent if node.durable else None,
+        journal_digest=journal_digest(node.journal_path) if node.durable else None,
+        restarts=node.restarts,
+        replayed_requests=node.replayed_total,
+        faults=None if node.faults is None else node.faults.report(),
+        metrics=registry.snapshot() if config.metrics_enabled else None,
     )
 
 
-def _flush_tolerantly(manager: SessionManager) -> None:
-    """Final adapter flush; a transient failure degrades instead of raising.
-
-    Everything that matters for recovery is already durable (journal +
-    checkpoints), so a store hiccup at the very end must not fail a run that
-    served every request.
-    """
-    try:
-        manager.flush()
-    except TransientServingError as error:
-        manager.store.health.degrade(f"final adapter flush failed: {error}")
-
-
-def _install_stop_handlers(scheduler: RequestScheduler):
+def _install_stop_handlers(node: ServingNode):
     """SIGINT/SIGTERM → graceful drain; returns a restore callback (or None).
 
     Signal handlers only work in the main thread; elsewhere (tests running
@@ -528,7 +543,8 @@ def _install_stop_handlers(scheduler: RequestScheduler):
     previous = {}
 
     def handle(signum, frame):
-        scheduler.request_stop()
+        if node.scheduler is not None:
+            node.scheduler.request_stop()
 
     try:
         for signum in (signal.SIGINT, signal.SIGTERM):

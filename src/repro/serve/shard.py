@@ -46,32 +46,13 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.data.lexicons import LexiconCollection, builtin_lexicons
-from repro.experiments.presets import ExperimentScale, get_scale
 from repro.llm.model import OnDeviceLLM
 from repro.obs import MetricsRegistry, PeriodicSnapshotter, merge_snapshots
-from repro.serve.adapter_store import LoRAAdapterStore
-from repro.serve.config import ServeConfig, warn_legacy_call
-from repro.serve.errors import RetryPolicy
-from repro.serve.faults import FaultInjector, FaultPlan, InjectedCrash
+from repro.serve.config import ServeConfig
 from repro.serve.frontend import normalize_entry
-from repro.serve.journal import (
-    JOURNAL_FILE,
-    JournalError,
-    RequestJournal,
-    decode_request,
-    encode_request,
-    journal_digest,
-    replay,
-)
-from repro.serve.loadgen import LoadConfig, build_serving_llm, generate_load
-from repro.serve.runner import (
-    _check_journal_meta,
-    _flush_tolerantly,
-    make_session_manager,
-    restore_shared_streams,
-    roll_forward,
-    serving_generation_config,
-)
+from repro.serve.journal import JournalError, decode_request, encode_request, journal_digest
+from repro.serve.loadgen import generate_load
+from repro.serve.runner import ServingNode, serving_llm
 from repro.serve.scheduler import Request, RequestScheduler
 
 #: Top-level state-directory manifest of a sharded durable run: records the
@@ -161,32 +142,12 @@ def aggregate_transcript_digest(normalized_entries: Sequence[dict]) -> str:
 # ---------------------------------------------------------------------- #
 # the worker (runs in a forked process or a thread)
 # ---------------------------------------------------------------------- #
-@dataclass
-class ShardWorkerConfig:
-    """Everything one shard worker needs to build its private serving stack."""
-
-    index: int
-    num_shards: int
-    load: LoadConfig
-    scale: ExperimentScale
-    cache_capacity: Optional[int] = 4
-    max_batch_size: int = 8
-    adapter_dir: Optional[Path] = None
-    state_dir: Optional[Path] = None
-    resume: bool = False
-    fault_plan: Optional[FaultPlan] = None
-    retry: Optional[RetryPolicy] = None
-    deadline_seconds: Optional[float] = None
-    fsync: bool = False
-    max_restarts: int = 8
-
-
 def shard_state_dir(state_root: Union[str, Path], index: int) -> Path:
     """The per-shard durable state directory under ``state_root``."""
     return Path(state_root) / f"shard-{index:02d}"
 
 
-def _shard_worker_main(conn, config: ShardWorkerConfig, llm: OnDeviceLLM) -> None:
+def _shard_worker_main(conn, config: ServeConfig, index: int, llm: OnDeviceLLM) -> None:
     """Worker entry point: serve this shard's requests until drained.
 
     Protocol (over the pipe, worker side):
@@ -195,16 +156,18 @@ def _shard_worker_main(conn, config: ShardWorkerConfig, llm: OnDeviceLLM) -> Non
       entry — journal-replayed ones first on resume, then live ones;
     - sends ``("ready", info)`` once recovery is done and the shard accepts
       requests;
-    - receives ``("serve", [encoded_request, ...])`` and
+    - receives ``("serve", [encoded_request, ...])``, ``("metrics",)`` and
       ``("drain",)`` commands;
     - sends ``("done", summary)`` after draining, then exits.
 
-    Injected *soft* crashes restart the shard in place from the journal,
-    exactly like :func:`~repro.serve.runner.run_serve`; requests received
-    but not yet journaled survive in the worker-local inbox.
+    ``config`` is the pool's config with this shard's directories; the
+    worker is a pipe loop around one :class:`~repro.serve.runner.ServingNode`,
+    so injected *soft* crashes restart the shard in place from its journal
+    exactly like :func:`~repro.serve.runner.run_serve`.  Requests received
+    but not yet journaled survive a restart in the worker-local inbox.
     """
     try:
-        _shard_worker_serve(conn, config, llm)
+        _ShardWorker(conn, config, index, llm).serve_until_drained()
     except BaseException as error:  # noqa: BLE001 - report, then die
         try:
             conn.send(("error", f"{type(error).__name__}: {error}"))
@@ -217,227 +180,114 @@ def _shard_worker_main(conn, config: ShardWorkerConfig, llm: OnDeviceLLM) -> Non
             pass
 
 
-def _shard_worker_serve(conn, config: ShardWorkerConfig, llm: OnDeviceLLM) -> None:
-    faults = FaultInjector(config.fault_plan) if config.fault_plan is not None else None
-    lexicons = builtin_lexicons()
-    generation = serving_generation_config(llm, config.scale)
-    # One registry per worker, created *outside* the restart loop so counts
-    # accumulate across injected-crash restarts exactly like the single-
-    # worker runner's durable loop.  The pool merges these at drain.
-    registry = MetricsRegistry()
+class _ShardWorker:
+    """The worker side of one shard: a pipe loop around a serving node."""
 
-    durable = config.state_dir is not None
-    if durable:
-        state_path = Path(config.state_dir)
-        state_path.mkdir(parents=True, exist_ok=True)
-        journal_path = state_path / JOURNAL_FILE
-        checkpoint_root = state_path / "sessions"
-        store_dir = config.adapter_dir or state_path / "adapters"
-        if journal_path.exists() and not config.resume:
-            raise JournalError(
-                f"journal already exists at {journal_path}; pass resume=True to replay it"
-            )
-    else:
-        if config.fault_plan is not None and config.fault_plan.crash_point is not None:
-            raise ValueError("crash injection requires a state_dir to recover from")
-        if config.adapter_dir is None:
-            raise ValueError("shard worker needs an adapter_dir when not durable")
-        journal_path = None
-        checkpoint_root = None
-        store_dir = config.adapter_dir
+    def __init__(self, conn, config: ServeConfig, index: int, llm: OnDeviceLLM) -> None:
+        self.conn = conn
+        self.index = index
+        # One registry per worker, shared by every restart of the node so
+        # counts accumulate across injected crashes; the pool merges these.
+        self.node = ServingNode(
+            config,
+            llm=llm,
+            metrics=MetricsRegistry(),
+            journal_meta={"shard": {"index": index, "num_shards": config.workers}},
+        )
+        self.seqs: Dict[str, int] = {}
+        self.normalized: Dict[int, dict] = {}
+        self.latencies: List[float] = []
+        self.serve_seconds = 0.0
+        self.batch_start: Optional[float] = None
+        self.inbox: List[Request] = []
+        self.ready_sent = False
+        self.drain_requested = False
 
-    seqs: Dict[str, int] = {}
-    normalized: Dict[int, dict] = {}
-    latencies: List[float] = []
-    serve_seconds = 0.0
-    batch_start: Optional[float] = None
-
-    def emit(entry: dict) -> None:
+    def emit(self, entry: dict) -> None:
         user_id = entry["user_id"]
-        seq = seqs.get(user_id, 0)
-        seqs[user_id] = seq + 1
+        seq = self.seqs.get(user_id, 0)
+        self.seqs[user_id] = seq + 1
         request_id = entry.get("request_id")
         shaped = normalize_entry(entry, seq)
-        normalized[request_id] = shaped
-        if batch_start is not None:
-            latencies.append(time.perf_counter() - batch_start)
-        conn.send(("entry", request_id, shaped))
+        self.normalized[request_id] = shaped
+        if self.batch_start is not None:
+            self.latencies.append(time.perf_counter() - self.batch_start)
+        self.conn.send(("entry", request_id, shaped))
 
-    inbox: List[Request] = []
-    ready_sent = False
-    drain_requested = False
-    runtime_snapshot: Optional[dict] = None
-    restarts = 0
-    replayed_total = 0
-    dead_letters_total = 0
+    def serve_until_drained(self) -> None:
+        node = self.node
+        scheduler = node.run(self._serve)
+        node.close()
+        per_user: Dict[str, List[dict]] = {}
+        for entry in self.normalized.values():
+            per_user.setdefault(entry["user_id"], []).append(entry)
+        summary = {
+            "index": self.index,
+            "served": len(self.normalized),
+            "users": sorted(per_user),
+            "user_digests": {
+                user: user_transcript_digest(entries) for user, entries in per_user.items()
+            },
+            "journal_digest": journal_digest(node.journal_path) if node.durable else None,
+            "replayed_requests": node.replayed_total,
+            "restarts": node.restarts,
+            # Registry-backed counters accumulate across the restart loop, so
+            # the final scheduler's view is the total.
+            "dead_letter_requests": node.metrics.counter("serve_dead_letters_total").value,
+            "degraded_chat_requests": scheduler.degraded_chats,
+            "retries": scheduler.retries,
+            "serve_seconds": self.serve_seconds,
+            "entry_latencies": self.latencies,
+            "store": node.store.stats.to_dict(),
+            "health": scheduler.health_report(),
+            "metrics": node.metrics.snapshot(),
+        }
+        self.conn.send(("done", summary))
 
-    while True:  # injected-soft-crash restart loop
-        seqs.clear()
-        store = LoRAAdapterStore(
-            store_dir, cache_capacity=config.cache_capacity, faults=faults, metrics=registry
-        )
-        manager = make_session_manager(
-            llm,
-            store,
-            config.scale,
-            seed=config.load.seed,
-            lexicons=lexicons,
-            checkpoint_root=checkpoint_root,
-        )
-        if runtime_snapshot is None:
-            runtime_snapshot = llm.export_runtime_state()
-        journal = None
-        commit_seq = 0
-        past = None
-        if durable:
-            commit_seq = restore_shared_streams(checkpoint_root, llm)
-            journal = RequestJournal(journal_path, fsync=config.fsync, metrics=registry)
-        scheduler = RequestScheduler(
-            manager,
-            max_batch_size=config.max_batch_size,
-            generation=generation,
-            journal=journal,
-            faults=faults,
-            retry=config.retry,
-            deadline_seconds=config.deadline_seconds,
-            commit_seq_start=commit_seq,
-            metrics=registry,
-        )
-        scheduler.entry_listener = emit
-        try:
-            replayed: Dict[int, dict] = {}
-            if durable:
-                past = replay(journal_path)
-                journal.observe_replay(past)
-                _check_journal_meta(past, config.load)
-                if past.dropped_records:
-                    journal.health.degrade(
-                        f"dropped {past.dropped_records} corrupt journal record(s) on replay"
-                    )
-                if past.meta is None:
-                    journal.record_meta(
-                        {
-                            "load": asdict(config.load),
-                            "scale": config.scale.name,
-                            "shard": {"index": config.index, "num_shards": config.num_shards},
-                        }
-                    )
-                # Re-announce everything the journal saw finish: the parent
-                # deduplicates, so across a resume the merged entry set —
-                # and therefore the aggregate digest — matches a run that
-                # never crashed.  Per user, finished ids are a FIFO prefix,
-                # so sorted-id order reproduces the original seq numbers.
-                for entry in past.finished_entries():
-                    emit(dict(entry))
-                replayed = roll_forward(past, store, manager, journal)
-                replayed_total += len(replayed)
-                for request_id in sorted(replayed):
-                    emit(dict(replayed[request_id]))
-                for request in past.pending:
-                    if request.request_id in replayed:
-                        continue
-                    scheduler.submit(request, journal_record=False)
-            while inbox:
-                request = inbox[0]
-                request_id = request.request_id
-                already = past is not None and (
-                    past.is_finished(request_id) or request_id in replayed
-                )
-                if not already and request_id not in normalized:
-                    scheduler.submit(
-                        request,
-                        journal_record=past is None or request_id not in past.enqueued,
-                    )
-                inbox.pop(0)
-            started = time.perf_counter()
-            batch_start = started
-            scheduler.run()
-            batch_start = None
-            serve_seconds += time.perf_counter() - started
-            if not ready_sent:
-                conn.send(
-                    (
-                        "ready",
-                        {
-                            "index": config.index,
-                            "replayed_entries": len(normalized),
-                            "next_request_id": past.next_request_id if past is not None else 0,
-                        },
-                    )
-                )
-                ready_sent = True
-            while not drain_requested:
-                message = conn.recv()
-                if message[0] == "serve":
-                    inbox.extend(decode_request(payload) for payload in message[1])
-                    while inbox:
-                        request = inbox[0]
-                        request_id = request.request_id
-                        already = past is not None and (
-                            past.is_finished(request_id) or request_id in replayed
-                        )
-                        if not already and request_id not in normalized:
-                            scheduler.submit(
-                                request,
-                                journal_record=past is None
-                                or request_id not in past.enqueued,
-                            )
-                        inbox.pop(0)
-                    started = time.perf_counter()
-                    batch_start = started
-                    scheduler.run()
-                    batch_start = None
-                    serve_seconds += time.perf_counter() - started
-                elif message[0] == "metrics":
-                    conn.send(("metrics", registry.snapshot()))
-                elif message[0] == "drain":
-                    drain_requested = True
-                else:  # pragma: no cover - protocol misuse
-                    raise ValueError(f"unknown shard command {message[0]!r}")
-            dead_letters_total += len(scheduler.dead_letters)
-            _flush_tolerantly(manager)
-            if journal is not None:
-                journal.close()
-            per_user: Dict[str, List[dict]] = {}
-            for entry in normalized.values():
-                per_user.setdefault(entry["user_id"], []).append(entry)
-            summary = {
-                "index": config.index,
-                "served": len(normalized),
-                "users": sorted(per_user),
-                "user_digests": {
-                    user: user_transcript_digest(entries)
-                    for user, entries in per_user.items()
-                },
-                "journal_digest": journal_digest(journal_path) if durable else None,
-                "replayed_requests": replayed_total,
-                "restarts": restarts,
-                "dead_letter_requests": dead_letters_total,
-                # Registry-backed counters already accumulate across the
-                # restart loop, so the final scheduler's view is the total.
-                "degraded_chat_requests": scheduler.degraded_chats,
-                "retries": scheduler.retries,
-                "serve_seconds": serve_seconds,
-                "entry_latencies": latencies,
-                "store": store.stats.to_dict(),
-                "health": scheduler.health_report(),
-                "metrics": registry.snapshot(),
+    def _serve(self, scheduler: RequestScheduler) -> RequestScheduler:
+        """One boot of the shard (re-entered after every soft crash)."""
+        self.seqs.clear()
+        self.batch_start = None
+        scheduler.entry_listener = self.emit
+        # Re-announce everything the journal saw finish: the parent
+        # deduplicates, so across a resume the merged entry set — and
+        # therefore the aggregate digest — matches a run that never crashed.
+        # Per user, finished ids are a FIFO prefix, so sorted-id order
+        # reproduces the original seq numbers.
+        for entry in self.node.past.finished_entries():
+            self.emit(dict(entry))
+        for request_id in sorted(self.node.replayed):
+            self.emit(dict(self.node.replayed[request_id]))
+        self._serve_inbox(scheduler)
+        if not self.ready_sent:
+            info = {
+                "index": self.index,
+                "replayed_entries": len(self.normalized),
+                "next_request_id": self.node.past.next_request_id,
             }
-            conn.send(("done", summary))
-            return
-        except InjectedCrash:
-            batch_start = None
-            dead_letters_total += len(scheduler.dead_letters)
-            if journal is not None:
-                journal.close()
-            restarts += 1
-            registry.counter("serve_restarts_total").inc()
-            if restarts > config.max_restarts:
-                raise RuntimeError(
-                    f"shard {config.index} gave up after {config.max_restarts} "
-                    "injected-crash restarts"
-                ) from None
-            llm.load_runtime_state(runtime_snapshot)
+            self.conn.send(("ready", info))
+            self.ready_sent = True
+        while not self.drain_requested:
+            message = self.conn.recv()
+            if message[0] == "serve":
+                self.inbox.extend(decode_request(payload) for payload in message[1])
+                self._serve_inbox(scheduler)
+            elif message[0] == "metrics":
+                self.conn.send(("metrics", self.node.metrics.snapshot()))
+            elif message[0] == "drain":
+                self.drain_requested = True
+            else:  # pragma: no cover - protocol misuse
+                raise ValueError(f"unknown shard command {message[0]!r}")
+        return scheduler
+
+    def _serve_inbox(self, scheduler: RequestScheduler) -> None:
+        while self.inbox:
+            self.node.submit(self.inbox[0])
+            self.inbox.pop(0)
+        self.batch_start = time.perf_counter()
+        scheduler.run()
+        self.serve_seconds += time.perf_counter() - self.batch_start
+        self.batch_start = None
 
 
 # ---------------------------------------------------------------------- #
@@ -483,20 +333,8 @@ class ShardPool:
 
     def __init__(
         self,
-        num_shards: int,
+        config: ServeConfig,
         llm: OnDeviceLLM,
-        load: LoadConfig,
-        scale: ExperimentScale,
-        cache_capacity: Optional[int] = 4,
-        max_batch_size: int = 8,
-        retry: Optional[RetryPolicy] = None,
-        deadline_seconds: Optional[float] = None,
-        fault_plan: Optional[FaultPlan] = None,
-        fsync: bool = False,
-        max_restarts: int = 8,
-        adapter_root: Optional[Union[str, Path]] = None,
-        state_root: Optional[Union[str, Path]] = None,
-        resume: bool = False,
         mode: Optional[str] = None,
         on_entry: Optional[Callable[[int, dict], None]] = None,
     ) -> None:
@@ -506,22 +344,11 @@ class ShardPool:
             raise ValueError(f"unknown shard worker mode {mode!r}")
         if mode == "process" and "fork" not in multiprocessing.get_all_start_methods():
             mode = "thread"
-        self.ring = ShardRing(num_shards)
-        self.num_shards = num_shards
+        self.config = config
+        self.ring = ShardRing(config.workers)
+        self.num_shards = config.workers
         self.mode = mode
         self.llm = llm
-        self.load = load
-        self.scale = scale
-        self.cache_capacity = cache_capacity
-        self.max_batch_size = max_batch_size
-        self.retry = retry
-        self.deadline_seconds = deadline_seconds
-        self.fault_plan = fault_plan
-        self.fsync = fsync
-        self.max_restarts = max_restarts
-        self.adapter_root = Path(adapter_root) if adapter_root is not None else None
-        self.state_root = Path(state_root) if state_root is not None else None
-        self.resume = resume
         self.on_entry = on_entry
         self.entries: Dict[int, dict] = {}
         self._entries_lock = threading.Lock()
@@ -554,7 +381,7 @@ class ShardPool:
             if self.mode == "process":
                 runner = context.Process(
                     target=_shard_worker_main,
-                    args=(child_conn, config, self.llm),
+                    args=(child_conn, config, index, self.llm),
                     name=f"repro-shard-{index}",
                     daemon=True,
                 )
@@ -564,7 +391,7 @@ class ShardPool:
                 worker_llm = copy.deepcopy(self.llm)
                 runner = threading.Thread(
                     target=_shard_worker_main,
-                    args=(child_conn, config, worker_llm),
+                    args=(child_conn, config, index, worker_llm),
                     name=f"repro-shard-{index}",
                     daemon=True,
                 )
@@ -584,41 +411,30 @@ class ShardPool:
                 raise ShardPoolError(f"shard {worker.index} failed: {worker.error}")
         return [worker.ready_info for worker in self._workers]
 
-    def _worker_config(self, index: int) -> ShardWorkerConfig:
-        state_dir = shard_state_dir(self.state_root, index) if self.state_root else None
-        if state_dir is None and self.adapter_root is None:
-            raise ShardPoolError("non-durable pool needs an adapter_root")
-        adapter_dir = (
-            self.adapter_root / f"shard-{index:02d}" if self.adapter_root is not None else None
-        )
-        return ShardWorkerConfig(
-            index=index,
-            num_shards=self.num_shards,
-            load=self.load,
-            scale=self.scale,
-            cache_capacity=self.cache_capacity,
-            max_batch_size=self.max_batch_size,
-            adapter_dir=adapter_dir,
-            state_dir=state_dir,
-            resume=self.resume,
-            fault_plan=self.fault_plan,
-            retry=self.retry,
-            deadline_seconds=self.deadline_seconds,
-            fsync=self.fsync,
-            max_restarts=self.max_restarts,
+    def _worker_config(self, index: int) -> ServeConfig:
+        """The pool's config with shard ``index``'s own directories."""
+        state_root, adapter_root = self.config.state_dir, self.config.adapter_dir
+        return self.config.with_(
+            state_dir=None if state_root is None else shard_state_dir(state_root, index),
+            adapter_dir=None if adapter_root is None else Path(adapter_root) / f"shard-{index:02d}",
         )
 
     def _check_state_meta(self) -> None:
         """Write or validate the topology manifest of a durable state root."""
-        if self.state_root is None:
+        if self.config.state_dir is None:
             return
-        self.state_root.mkdir(parents=True, exist_ok=True)
-        meta_path = self.state_root / SHARDS_META_FILE
-        meta = {"num_shards": self.num_shards, "load": asdict(self.load), "scale": self.scale.name}
+        state_root = Path(self.config.state_dir)
+        state_root.mkdir(parents=True, exist_ok=True)
+        meta_path = state_root / SHARDS_META_FILE
+        meta = {
+            "num_shards": self.num_shards,
+            "load": asdict(self.config.load),
+            "scale": self.config.resolved_scale().name,
+        }
         if meta_path.is_file():
-            if not self.resume:
+            if not self.config.resume:
                 raise JournalError(
-                    f"sharded state already exists at {self.state_root}; "
+                    f"sharded state already exists at {state_root}; "
                     "pass resume=True to replay it"
                 )
             recorded = json.loads(meta_path.read_text())
@@ -863,31 +679,17 @@ class ShardedServeOutcome:
 
 
 def run_serve_sharded(
-    load: Union[LoadConfig, ServeConfig],
-    workers: Optional[int] = None,
-    scale: Optional[ExperimentScale] = None,
-    adapter_dir: Optional[Union[str, Path]] = None,
-    cache_capacity: Optional[int] = 4,
-    max_batch_size: int = 8,
-    lexicons: Optional[LexiconCollection] = None,
-    pretrain_epochs: Optional[int] = None,
+    config: ServeConfig,
+    *,
     llm: Optional[OnDeviceLLM] = None,
-    state_dir: Optional[Union[str, Path]] = None,
-    resume: bool = False,
-    fault_plan: Optional[FaultPlan] = None,
-    retry: Optional[RetryPolicy] = None,
-    deadline_seconds: Optional[float] = None,
-    fsync: bool = False,
-    max_restarts: int = 8,
+    lexicons: Optional[LexiconCollection] = None,
     mode: Optional[str] = None,
 ) -> ShardedServeOutcome:
     """Serve one synthetic workload across shards; returns the outcome.
 
-    The sharded twin of :func:`~repro.serve.runner.run_serve`, and like it
-    config-first: pass a :class:`~repro.serve.config.ServeConfig` (whose
-    ``workers`` field is the shard count) plus the runtime-object keywords
-    ``lexicons``/``llm``/``mode``.  The legacy ``LoadConfig``-plus-keywords
-    form still works for one release behind a :class:`DeprecationWarning`.
+    The sharded twin of :func:`~repro.serve.runner.run_serve`:
+    ``config.workers`` is the shard count, and the runtime objects
+    ``llm``/``lexicons``/``mode`` are keywords.
 
     The base model is built (or passed in) once, the deterministic load is
     generated once, and every request is routed to its consistent-hash
@@ -896,63 +698,10 @@ def run_serve_sharded(
     independently; the topology manifest refuses a resume with a different
     worker count.
     """
-    import tempfile
-
-    if isinstance(load, ServeConfig):
-        config = load
-    else:
-        warn_legacy_call("run_serve_sharded")
-        if workers is None:
-            raise TypeError("run_serve_sharded() missing required argument: 'workers'")
-        config = ServeConfig(
-            load=load,
-            scale=scale,
-            adapter_dir=None if adapter_dir is None else Path(adapter_dir),
-            cache_capacity=cache_capacity,
-            max_batch_size=max_batch_size,
-            pretrain_epochs=pretrain_epochs,
-            workers=workers,
-            state_dir=None if state_dir is None else Path(state_dir),
-            resume=resume,
-            fault_plan=fault_plan,
-            retry=retry,
-            deadline_seconds=deadline_seconds,
-            fsync=fsync,
-            max_restarts=max_restarts,
-        )
-    load = config.load
-    scale = config.resolved_scale()
     lexicons = lexicons or builtin_lexicons()
     if llm is None:
-        llm = build_serving_llm(
-            scale,
-            dataset=load.dataset,
-            seed=load.seed,
-            lexicons=lexicons,
-            pretrain_epochs=config.pretrain_epochs,
-        )
-    temporary = None
-    adapter_root = config.adapter_dir
-    if config.state_dir is None and adapter_root is None:
-        temporary = tempfile.TemporaryDirectory(prefix="repro-shard-adapters-")
-        adapter_root = Path(temporary.name)
-    pool = ShardPool(
-        config.workers,
-        llm=llm,
-        load=load,
-        scale=scale,
-        cache_capacity=config.cache_capacity,
-        max_batch_size=config.max_batch_size,
-        retry=config.retry,
-        deadline_seconds=config.deadline_seconds,
-        fault_plan=config.fault_plan,
-        fsync=config.fsync,
-        max_restarts=config.max_restarts,
-        adapter_root=adapter_root,
-        state_root=config.state_dir,
-        resume=config.resume,
-        mode=mode,
-    )
+        llm = serving_llm(config, lexicons)
+    pool = ShardPool(config, llm=llm, mode=mode)
     snapshotter = None
     if config.metrics_enabled and config.metrics_out is not None:
         snapshotter = PeriodicSnapshotter(
@@ -964,7 +713,7 @@ def run_serve_sharded(
     try:
         pool.start()
         started = time.perf_counter()
-        pool.submit_many(generate_load(load, lexicons=lexicons))
+        pool.submit_many(generate_load(config.load, lexicons=lexicons))
         summaries = pool.drain()
         elapsed = time.perf_counter() - started
     except BaseException:
@@ -973,8 +722,6 @@ def run_serve_sharded(
     finally:
         if snapshotter is not None:
             snapshotter.stop()
-        if temporary is not None:
-            temporary.cleanup()
     return _assemble_outcome(
         pool, summaries, elapsed, config.state_dir, metrics_enabled=config.metrics_enabled
     )

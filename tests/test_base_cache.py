@@ -29,7 +29,7 @@ from repro.llm.pretrain import (
     pretraining_pairs,
 )
 from repro.serve.adapter_codec import pack_adapter_record, unpack_adapter_record
-from repro.serve.client import drive_load, fetch_stats, request_shutdown
+from repro.serve.client import drive_load, fetch_metrics, request_shutdown
 from repro.serve.frontend import wait_for_port_file
 from repro.serve.loadgen import LoadConfig
 from repro.tokenizer.word_tokenizer import WordTokenizer
@@ -250,7 +250,7 @@ def serve_once(run_dir, env):
         load = LoadConfig(num_users=4, num_requests=32, chat_only=True, seed=0)
         outcomes = drive_load("127.0.0.1", port, load)
         assert len(outcomes) == load.num_requests
-        digest = fetch_stats("127.0.0.1", port)["transcript_digest"]
+        digest = fetch_metrics("127.0.0.1", port)["transcript_digest"]
         request_shutdown("127.0.0.1", port)
         log, _ = process.communicate(timeout=120)
     finally:

@@ -13,7 +13,7 @@ import pytest
 
 from repro.experiments.presets import get_scale
 from repro.serve import PermanentServingError
-from repro.serve.client import ServeClient, drive_load, fetch_stats
+from repro.serve.client import ServeClient, drive_load, fetch_metrics
 from repro.serve.frontend import (
     BUSY_QUEUE_FULL,
     BUSY_USER_LIMIT,
@@ -25,7 +25,7 @@ from repro.serve.frontend import (
     FRAME_DONE,
     FRAME_ERROR,
     FRAME_HELLO,
-    FRAME_STATS,
+    FRAME_METRICS,
     MAX_FRAME_BYTES,
     FrontendThread,
     ProtocolError,
@@ -174,7 +174,7 @@ class TestProtocolOverSocket:
             frames["bad_dialogues"] = await exchange(
                 b'{"op":"personalize","dialogues":[]}\n'
             )
-            frames["stats"] = await exchange(b'{"op":"stats"}\n')
+            frames["metrics"] = await exchange(b'{"op":"metrics"}\n')
             writer.close()
             await writer.wait_closed()
             return frames
@@ -191,8 +191,8 @@ class TestProtocolOverSocket:
         assert frames["hello"]["frame"] == FRAME_HELLO
         assert frames["bad_question"]["error"] == ERR_BAD_PAYLOAD
         assert frames["bad_dialogues"]["error"] == ERR_BAD_PAYLOAD
-        # The connection survived every error: the final stats op worked.
-        assert frames["stats"]["frame"] == FRAME_STATS
+        # The connection survived every error: the final metrics op worked.
+        assert frames["metrics"]["frame"] == FRAME_METRICS
 
     def test_torn_final_frame_closes_quietly(self, frontend_env):
         """EOF mid-line is the socket analogue of the journal's torn tail:
@@ -210,13 +210,13 @@ class TestProtocolOverSocket:
             await writer.wait_closed()
             # The listener is still alive and serving.
             async with ServeClient(host, port) as client:
-                stats = await client.stats()
-            return frames, stats
+                metrics = await client.metrics()
+            return frames, metrics
 
-        frames, stats = asyncio.run(scenario())
+        frames, metrics = asyncio.run(scenario())
         outcome = server.stop()
         assert frames == []
-        assert stats["frame"] == FRAME_STATS
+        assert metrics["frame"] == FRAME_METRICS
         assert outcome.total_requests == 0
 
     def test_oversized_frame_gets_a_typed_error_then_close(self, frontend_env):
@@ -331,17 +331,17 @@ class TestDigestStability:
         """The acceptance property, in-process: two independent server boots
         driven with the same per-user workload over real sockets produce
         byte-identical normalized transcript digests, and the digest the
-        clients observe (stats frame) equals the one the server reports."""
+        clients observe (metrics frame) equals the one the server reports."""
         load = LoadConfig(num_users=2, num_requests=8, personalize_every=4, seed=0)
         digests = set()
         for _ in range(2):
             server, host, port = boot(frontend_env)
             outcomes = drive_load(host, port, load)
-            stats = fetch_stats(host, port)
+            metrics = fetch_metrics(host, port)
             outcome = server.stop()
             assert len(outcomes) == load.num_requests
             assert outcome.dead_letter_requests == 0
-            assert stats["transcript_digest"] == outcome.transcript_digest
+            assert metrics["transcript_digest"] == outcome.transcript_digest
             digests.add(outcome.transcript_digest)
         assert len(digests) == 1
 

@@ -11,8 +11,7 @@ real serving run:
   op, and the sharded merged view all expose the same metric key-set (the
   catalog is a property of the code, not of topology or traffic).
 * **The typed config** — :class:`ServeConfig` is the one argv
-  interpretation point, and the legacy keyword signatures still work for
-  one release behind a ``DeprecationWarning``.
+  interpretation point and the one argument every entry point takes.
 """
 
 import asyncio
@@ -22,11 +21,10 @@ import pytest
 from repro.cli import build_parser
 from repro.obs import merge_snapshots, snapshot_key_set
 from repro.serve import LoadConfig, ServeConfig, run_serve
-from repro.serve.config import warn_legacy_call  # noqa: F401  (re-export sanity)
 from repro.serve.frontend import (
-    FRAME_HEALTH,
+    ERR_UNKNOWN_OP,
+    FRAME_ERROR,
     FRAME_METRICS,
-    FRAME_STATS,
     METRICS_FRAME_SCHEMA,
     PROTOCOL_VERSION,
     FrontendThread,
@@ -140,6 +138,8 @@ class TestWireProtocol:
         return server, host, port
 
     def test_metrics_op_and_aliases(self, frontend_env):
+        """``metrics`` is the one observability op; the ``stats``/``health``
+        aliases protocol v2 deprecated are gone and get ``unknown_op``."""
         server, host, port = self.boot(frontend_env)
 
         async def scenario():
@@ -147,29 +147,23 @@ class TestWireProtocol:
                 await client.connect("user_00")
                 await client.chat("what should I do about headaches?")
                 metrics = await client.metrics()
-                stats = await client.stats()
-                health = await client.health()
+                removed = []
+                for op in ("stats", "health"):
+                    await client.send_op({"op": op})
+                    removed.append(await client.read_frame())
                 await client.shutdown()
-            return metrics, stats, health
+            return metrics, removed
 
-        metrics, stats, health = asyncio.run(scenario())
+        metrics, removed = asyncio.run(scenario())
         outcome = server.stop()
 
         assert metrics["frame"] == FRAME_METRICS
-        assert stats["frame"] == FRAME_STATS
-        assert health["frame"] == FRAME_HEALTH
         assert metrics["schema"] == METRICS_FRAME_SCHEMA
-        assert metrics["protocol"] == PROTOCOL_VERSION
-        # The aliases are flagged, the real op is not.
-        assert stats["deprecated"] is True
-        assert health["deprecated"] is True
+        assert metrics["protocol"] == PROTOCOL_VERSION == 3
         assert "deprecated" not in metrics
-        # All three ops return the same unified body (frame kind + flag aside).
-        body_keys = {
-            frozenset(k for k in frame if k not in ("frame", "deprecated"))
-            for frame in (metrics, stats, health)
-        }
-        assert len(body_keys) == 1
+        for frame in removed:
+            assert frame["frame"] == FRAME_ERROR
+            assert frame["error"] == ERR_UNKNOWN_OP
         # The wire snapshot and the drain snapshot expose the same catalog.
         assert snapshot_key_set(metrics["metrics"]) == snapshot_key_set(outcome.metrics)
 
@@ -238,45 +232,6 @@ class TestServeConfig:
         assert config_for().durable is False
         assert config_for(state_dir=tmp_path / "state").durable is True
         assert config_for(resume=True).durable is True
-
-
-class TestLegacyShims:
-    def test_run_serve_keyword_form_warns_but_works(self, pretrained_llm):
-        with pytest.warns(DeprecationWarning, match="ServeConfig"):
-            legacy = run_serve(LOAD, llm=pretrained_llm.clone())
-        modern = run_serve(config_for(), llm=pretrained_llm.clone())
-        assert legacy.report.transcript_digest == modern.report.transcript_digest
-
-    def test_config_form_does_not_warn(self, pretrained_llm, recwarn):
-        run_serve(config_for(), llm=pretrained_llm.clone())
-        assert not [w for w in recwarn if w.category is DeprecationWarning]
-
-    def test_run_serve_sharded_keyword_form_warns(self, pretrained_llm):
-        with pytest.warns(DeprecationWarning, match="ServeConfig"):
-            legacy = run_serve_sharded(
-                LOAD, workers=2, llm=pretrained_llm.clone(), mode="thread"
-            )
-        modern = run_serve_sharded(
-            config_for(workers=2), llm=pretrained_llm.clone(), mode="thread"
-        )
-        assert legacy.aggregate_digest == modern.aggregate_digest
-
-    def test_run_serve_sharded_legacy_requires_workers(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(TypeError, match="workers"):
-                run_serve_sharded(LOAD)
-
-    def test_frontend_legacy_host_string_warns(self, frontend_env):
-        with pytest.warns(DeprecationWarning, match="ServeConfig"):
-            frontend = ServeFrontend(
-                "127.0.0.1",
-                port=0,
-                scale=frontend_env["scale"],
-                llm=pristine_llm(frontend_env),
-                lexicons=frontend_env["lexicons"],
-            )
-        assert frontend.host == "127.0.0.1"
-        assert frontend.metrics_enabled is True
 
 
 # -- shared frontend fixtures (same pattern as test_serve_frontend) -------- #
